@@ -19,25 +19,20 @@ from .exactnum import (
 )
 from .polyring import Poly, PolyMatrix, X
 from .families import (
-    APPELL_MONOMIAL,
+    APPELL,
     FIBONACCI,
     LUCAS,
     family_poly,
     generating_function_coeffs,
     verify_derivative_formula,
 )
-from .derivops import (
-    Derivation,
-    builtin_image,
-    closed_power_on_generator,
-    derive_power,
-    kernel_member,
-)
+from .derivops import Derivation, builtin_image, kernel_member
 from .dixmier import (
     LocalizedPoly,
     Slice,
     cayley_closed,
     cayley_constructive,
+    closed_power_on_generator,
     dixmier_sigma,
     fibonacci_slice,
     lucas_slice,
@@ -77,14 +72,13 @@ __all__ = [
     "X",
     "FIBONACCI",
     "LUCAS",
-    "APPELL_MONOMIAL",
+    "APPELL",
     "family_poly",
     "generating_function_coeffs",
     "verify_derivative_formula",
     "Derivation",
     "builtin_image",
     "closed_power_on_generator",
-    "derive_power",
     "kernel_member",
     "Slice",
     "LocalizedPoly",

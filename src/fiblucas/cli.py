@@ -16,7 +16,7 @@ from .derivops import Derivation, kernel_member
 from .dixmier import cayley_closed, cayley_constructive
 from .polyring import Poly
 
-_FAMILY = {"fib": families.FIBONACCI, "lucas": families.LUCAS, "appell": "appell"}
+_FAMILY = {"fib": families.FIBONACCI, "lucas": families.LUCAS, "appell": families.APPELL}
 
 
 def _read_poly(source: str) -> Poly:

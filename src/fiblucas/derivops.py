@@ -18,39 +18,25 @@ vanishes there.
 Applying a derivation to the distinguished indeterminate x is an
 error: the generator ring and the x ring are never mixed silently.
 
-Closed forms for iterated images (k >= 1, sums over subscripts that
-stay valid: >= 1 for fibonacci, >= 0 for lucas):
-
-    fibonacci: D^k(x_n) = (k-1)! * sum_i (-1)^i (n-k-2i)
-                  C(i+k-1, k-1) C(n-i-1, k-1) x_{n-k-2i}
-    lucas:     D^k(x_n) = n (k-1)! * sum_i (-1)^i
-                  C(i+k-1, k-1) C(n-i-1, k-1) x_{n-k-2i}
+Closed forms for the iterated images D^k(x_n) live in dixmier, next
+to the Cayley elements built from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Mapping
 
-from .exactnum import binomial
+from .families import APPELL, FIBONACCI, LUCAS
 from .polyring import Mono, Poly, mono_decrement, mono_mul, var_name
 
 __all__ = [
-    "FIBONACCI",
-    "LUCAS",
-    "APPELL",
     "Derivation",
     "builtin_image",
-    "derive_power",
-    "closed_power_on_generator",
     "kernel_member",
 ]
 
-FIBONACCI = "fibonacci"
-LUCAS = "lucas"
-APPELL = "appell"
 CUSTOM = "custom"
 
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
@@ -173,42 +159,6 @@ class Derivation:
                 break
             out = self(out)
         return out
-
-
-def derive_power(d: Derivation, p: Poly, k: int) -> Poly:
-    return d.power(p, k)
-
-
-def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
-    """D^k(x_n) straight from the closed formula (k >= 1).
-
-    The index i runs over all i >= 0 keeping the subscript n-k-2i valid
-    (>= 1 for fibonacci, >= 0 for lucas); out-of-range binomials vanish
-    on their own.
-    """
-    if kind not in (FIBONACCI, LUCAS):
-        raise ValueError(f"closed power formula needs fibonacci or lucas, got {kind!r}")
-    if k < 1:
-        raise ValueError("closed power formula needs k >= 1")
-    if n < 0:
-        raise ValueError("generator index must be >= 0")
-    lowest = 1 if kind == FIBONACCI else 0
-    pref = factorial(k - 1) * (n if kind == LUCAS else 1)
-    out = Poly.zero()
-    i = 0
-    while n - k - 2 * i >= lowest:
-        sub = n - k - 2 * i
-        coeff = (
-            pref
-            * (-1) ** i
-            * (sub if kind == FIBONACCI else 1)
-            * binomial(i + k - 1, k - 1)
-            * binomial(n - i - 1, k - 1)
-        )
-        if coeff:
-            out = out + Poly.term(coeff, {sub: 1})
-        i += 1
-    return out
 
 
 def kernel_member(d: Derivation, p: Poly) -> bool:

@@ -14,22 +14,22 @@ Fibonacci derivation (D(x_2) = x_1) and h = x_1 for the Lucas one
 single generator.  Clearing that power (x_1^{n-2}, resp. x_0^{n-1})
 yields the Cayley element C_n.
 
-Closed route: the same C_n written out directly,
+Closed route: the same Dixmier sum with every D^k(x_n) read off the
+closed binomial formula (k >= 1)
 
-  fibonacci (n >= 3):
-    C_n = x_n x_1^{n-2}
-        + sum_{k=1..n-3} (1/k) sum_i (-1)^{k+i} (n-k-2i)
-              C(i+k-1,k-1) C(n-i-1,k-1) x_{n-k-2i} x_2^k x_1^{n-2-k}
-        + (n-2)(-1)^{n-2} x_2^{n-1}
+    fibonacci: D^k(x_n) = (k-1)! * sum_i (-1)^i (n-k-2i)
+                  C(i+k-1, k-1) C(n-i-1, k-1) x_{n-k-2i}
+    lucas:     D^k(x_n) = n (k-1)! * sum_i (-1)^i
+                  C(i+k-1, k-1) C(n-i-1, k-1) x_{n-k-2i}
 
-  lucas (n >= 2, with C_1 = x_0 as the degenerate case):
-    C_n = x_n x_0^{n-1}
-        + n * sum_{k=1..n-2} (1/k) sum_i (-1)^{k+i}
-              C(i+k-1,k-1) C(n-i-1,k-1) x_{n-k-2i} x_1^k x_0^{n-1-k}
-        + (n-1)(-1)^{n-1} x_1^n
+(i runs over the subscripts that stay valid: >= 1 for fibonacci, >= 0
+for lucas) and D^0(x_n) = x_n, instead of iterating D:
 
-with inner subscripts kept valid exactly as in the closed power
-formulas (>= 1 for fibonacci, >= 0 for lucas).
+    C_n = sum_{k=0..t+1} D^k(x_n) (-h)^k g^{t-k} / k!
+
+with h = x_2, g = x_1, t = n-2 (fibonacci, n >= 3) and h = x_1,
+g = x_0, t = n-1 (lucas, n >= 2; C_1 = x_0 is the degenerate case).
+At k = t+1 the only subscript is g's own, so every g exponent is >= 0.
 """
 
 from __future__ import annotations
@@ -38,11 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .derivops import FIBONACCI, LUCAS, Derivation
+from .derivops import Derivation
 from .exactnum import binomial
-from .polyring import Poly, divide_by_generator, var_name
+from .families import FIBONACCI, LUCAS
+from .polyring import Poly, divide_by_generator, mono_from_exps, var_name
 
 __all__ = [
+    "closed_power_on_generator",
     "Slice",
     "LocalizedPoly",
     "fibonacci_slice",
@@ -140,46 +142,35 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
     return LocalizedPoly(num, j, power)
 
 
-def _cayley_closed_fibonacci(n: int) -> Poly:
-    out = Poly.term(1, {n: 1, 1: n - 2})
-    for k in range(1, n - 2):
-        i = 0
-        while n - k - 2 * i >= 1:
-            sub = n - k - 2 * i
-            coeff = (
-                Fraction((-1) ** (k + i) * sub, k)
-                * binomial(i + k - 1, k - 1)
-                * binomial(n - i - 1, k - 1)
-            )
-            if coeff:
-                exps = {sub: 1}
-                exps[2] = exps.get(2, 0) + k
-                if n - 2 - k:
-                    exps[1] = exps.get(1, 0) + (n - 2 - k)
-                out = out + Poly.term(coeff, exps)
-            i += 1
-    return out + Poly.term((n - 2) * (-1) ** (n - 2), {2: n - 1})
+def _closed_power_terms(kind: str, n: int, k: int):
+    """(subscript, integer coefficient) pairs of D^k(x_n), k >= 0."""
+    if k == 0:
+        yield n, 1
+        return
+    lowest = 1 if kind == FIBONACCI else 0
+    pref = factorial(k - 1) * (n if kind == LUCAS else 1)
+    for i in range((n - k - lowest) // 2 + 1):
+        sub = n - k - 2 * i
+        coeff = (
+            pref
+            * (-1) ** i
+            * (sub if kind == FIBONACCI else 1)
+            * binomial(i + k - 1, k - 1)
+            * binomial(n - i - 1, k - 1)
+        )
+        if coeff:
+            yield sub, coeff
 
 
-def _cayley_closed_lucas(n: int) -> Poly:
-    out = Poly.term(1, {n: 1, 0: n - 1})
-    for k in range(1, n - 1):
-        i = 0
-        while n - k - 2 * i >= 0:
-            sub = n - k - 2 * i
-            coeff = (
-                Fraction((-1) ** (k + i) * n, k)
-                * binomial(i + k - 1, k - 1)
-                * binomial(n - i - 1, k - 1)
-            )
-            if coeff:
-                exps = {sub: 1}
-                exps[1] = exps.get(1, 0) + k
-                if n - 1 - k:
-                    exps[0] = exps.get(0, 0) + (n - 1 - k)
-                out = out + Poly.term(coeff, exps)
-            i += 1
-    return out + Poly.term((n - 1) * (-1) ** (n - 1), {1: n})
+def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
+    """D^k(x_n) straight from the closed formula (k >= 1)."""
+    if kind not in (FIBONACCI, LUCAS):
+        raise ValueError(f"closed power formula needs fibonacci or lucas, got {kind!r}")
+    if k < 1:
+        raise ValueError("closed power formula needs k >= 1")
+    if n < 0:
+        raise ValueError("generator index must be >= 0")
+    return Poly.from_terms((((sub, 1),), c) for sub, c in _closed_power_terms(kind, n, k))
 
 
 def _check_cayley_args(kind: str, n: int) -> None:
@@ -196,11 +187,18 @@ def _check_cayley_args(kind: str, n: int) -> None:
 def cayley_closed(kind: str, n: int) -> Poly:
     """The Cayley kernel element C_n from its closed formula."""
     _check_cayley_args(kind, n)
-    if kind == FIBONACCI:
-        return _cayley_closed_fibonacci(n)
-    if n == 1:
+    if kind == LUCAS and n == 1:
         return Poly.gen(0)
-    return _cayley_closed_lucas(n)
+    h, g = (2, 1) if kind == FIBONACCI else (1, 0)
+    t = n - h  # n-2 (fibonacci), n-1 (lucas)
+    terms = []
+    for k in range(t + 2):
+        scale = Fraction((-1) ** k, factorial(k))
+        for sub, c in _closed_power_terms(kind, n, k):
+            exps = {h: k, g: t - k}
+            exps[sub] = exps.get(sub, 0) + 1
+            terms.append((mono_from_exps(exps), scale * c))
+    return Poly.from_terms(terms)
 
 
 def cayley_constructive(kind: str, n: int) -> Poly:

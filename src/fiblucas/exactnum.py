@@ -58,15 +58,17 @@ class TruncatedSeries:
     """A power series truncated at a fixed order.
 
     ``coeffs[i]`` is the coefficient of z^i and ``order == len(coeffs)``
-    (at least 1).  Arithmetic never reads beyond index order-1, and
-    both operands of a product must share the same order.  Instances
-    are immutable and safe to share.
+    (at least 1).  Coefficients are Fractions (ints are converted) or
+    any exact ring elements that mix with them, such as ``Poly``.
+    Arithmetic never reads beyond index order-1, and both operands of
+    a product must share the same order.  Instances are immutable and
+    safe to share.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = tuple(Fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable) -> None:
+        cs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
         if not cs:
             raise ValueError("TruncatedSeries requires order >= 1")
         self._coeffs = cs
@@ -77,7 +79,7 @@ class TruncatedSeries:
         return cls([1] + [0] * (order - 1))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
         return self._coeffs
 
     @property

@@ -10,19 +10,23 @@ Note L_0 = 1, not the classical 2: that is what the generating function
 expands to, and it is the unique value making the closed derivative
 identity (below) hold at every order, starting with d/dx L_1 = L_0.
 
-AppellMonomial is A_n = x^n, the simplest family with A_n' = n*A_{n-1}.
+The Appell family is A_n = x^n, the simplest one with A_n' = n*A_{n-1}.
+
+FIBONACCI, LUCAS and APPELL name the families here and the matching
+derivations everywhere else in the package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .exactnum import TruncatedSeries
 from .polyring import Poly
 
 __all__ = [
     "FIBONACCI",
     "LUCAS",
-    "APPELL_MONOMIAL",
+    "APPELL",
     "family_poly",
     "derivative_rhs",
     "verify_derivative_formula",
@@ -31,9 +35,9 @@ __all__ = [
 
 FIBONACCI = "fibonacci"
 LUCAS = "lucas"
-APPELL_MONOMIAL = "appell-monomial"
+APPELL = "appell"
 
-_FAMILIES = (FIBONACCI, LUCAS, APPELL_MONOMIAL)
+_FAMILIES = (FIBONACCI, LUCAS, APPELL)
 
 
 def _check_kind(kind: str, allowed=_FAMILIES) -> None:
@@ -48,21 +52,15 @@ def family_poly(kind: str, n: int) -> Poly:
     if n < 0:
         raise ValueError("family index must be >= 0")
     x = Poly.x()
-    if kind == APPELL_MONOMIAL:
+    if kind == APPELL:
         return x ** n
-    if kind == FIBONACCI:
-        if n == 0:
-            return Poly.zero()
-        if n == 1:
-            return Poly.one()
-        return x * family_poly(kind, n - 1) + family_poly(kind, n - 2)
-    # Lucas
-    if n == 0:
-        return Poly.one()
-    if n == 1:
-        return x
-    if n == 2:
-        return x * x + 2
+    if kind == FIBONACCI and n < 2:
+        return Poly.constant(n)
+    if kind == LUCAS and n < 3:
+        return (Poly.one(), x, x * x + 2)[n]
+    # fill the memo bottom-up so a cold call never recurses deeply
+    for m in range(3, n - 1):
+        family_poly(kind, m)
     return x * family_poly(kind, n - 1) + family_poly(kind, n - 2)
 
 
@@ -101,26 +99,11 @@ def generating_function_coeffs(kind: str, order: int) -> list[Poly]:
     _check_kind(kind, (FIBONACCI, LUCAS))
     if order < 1:
         raise ValueError("order must be >= 1")
-    x = Poly.x()
-    denom = [Poly.one(), -x, -Poly.one()]  # 1 - x*t - t^2
-    inv = [Poly.zero()] * order
-    inv[0] = Poly.one()
-    for m in range(1, order):
-        s = Poly.zero()
-        for k in range(1, min(m, len(denom) - 1) + 1):
-            s = s + denom[k] * inv[m - k]
-        inv[m] = -s
-    numer = [Poly.zero(), Poly.one()] if kind == FIBONACCI else [
-        Poly.one(),
-        Poly.zero(),
-        Poly.one(),
-    ]
-    out = []
-    for m in range(order):
-        s = Poly.zero()
-        for j, nj in enumerate(numer):
-            if j > m or nj.is_zero():
-                continue
-            s = s + nj * inv[m - j]
-        out.append(s)
-    return out
+
+    def series(head: list) -> TruncatedSeries:
+        return TruncatedSeries((head + [0] * order)[:order])
+
+    numer = series([0, 1] if kind == FIBONACCI else [1, 0, 1])
+    denom = series([1, -Poly.x(), -1])  # 1 - x*t - t^2
+    # entries that never meet x stay Fraction; adding Poly.zero() lifts them
+    return [c + Poly.zero() for c in (numer * denom.reciprocal()).coeffs]

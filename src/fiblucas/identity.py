@@ -63,7 +63,7 @@ class IdentityReport:
             "is_constant": self.is_constant,
         }
         if self.is_constant:
-            doc["constant_value"] = _fraction_str(self.constant_value)
+            doc["constant_value"] = str(self.constant_value)
         return doc
 
 
@@ -105,18 +105,14 @@ def conjecture_scan(family: str, n_max: int) -> dict:
         row = {
             "n": n,
             "is_constant": report.is_constant,
-            "constant": (
-                _fraction_str(report.constant_value)
-                if report.is_constant
-                else None
-            ),
+            "constant": str(report.constant_value) if report.is_constant else None,
             "boundary": boundary,
         }
         if boundary:
             row["ok"] = None
         else:
             expected = _expected_constant(family, n)
-            row["expected"] = _fraction_str(expected)
+            row["expected"] = str(expected)
             row["ok"] = report.is_constant and report.constant_value == expected
             ok_all = ok_all and row["ok"]
         rows.append(row)
@@ -197,7 +193,7 @@ def discriminant_demo() -> dict:
             "ok": report.is_constant and report.constant_value == -864,
         }
         if report.is_constant:
-            stage_d["constant"] = _fraction_str(report.constant_value)
+            stage_d["constant"] = str(report.constant_value)
     stages.append(stage_d)
 
     return {
@@ -206,10 +202,6 @@ def discriminant_demo() -> dict:
         "ok": all(s["ok"] for s in stages),
         "constant": stage_d.get("constant"),
     }
-
-
-def _fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _fraction_latex(c: Fraction) -> str:

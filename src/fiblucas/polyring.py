@@ -26,6 +26,7 @@ __all__ = [
     "Mono",
     "Poly",
     "PolyMatrix",
+    "mono_from_exps",
     "mono_mul",
     "mono_decrement",
     "divide_by_generator",
@@ -55,7 +56,7 @@ def _parse_var(name: str) -> int:
     raise ValueError(f"unknown variable name: {name!r}")
 
 
-def _mono_from_exps(exps: Mapping[int, int]) -> Mono:
+def mono_from_exps(exps: Mapping[int, int]) -> Mono:
     items = []
     for v, e in exps.items():
         if not isinstance(v, int) or v < X:
@@ -154,7 +155,7 @@ class Poly:
         c = Fraction(coeff)
         if c == 0:
             return cls.zero()
-        return cls._make({_mono_from_exps(exps): c})
+        return cls._make({mono_from_exps(exps): c})
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[Mono, Fraction]]) -> "Poly":
@@ -192,7 +193,7 @@ class Poly:
         return self._terms.get((), Fraction(0))
 
     def coefficient(self, exps: Mapping[int, int]) -> Fraction:
-        return self._terms.get(_mono_from_exps(exps), Fraction(0))
+        return self._terms.get(mono_from_exps(exps), Fraction(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -401,16 +402,10 @@ class Poly:
             var_name(v)
             for v in sorted(self.variables(), key=_var_key)
         ]
-        terms = []
-        for m, c in self.sorted_terms():
-            coeff = (
-                str(c.numerator)
-                if c.denominator == 1
-                else f"{c.numerator}/{c.denominator}"
-            )
-            terms.append(
-                {"coeff": coeff, "exps": {var_name(v): e for v, e in m}}
-            )
+        terms = [
+            {"coeff": str(c), "exps": {var_name(v): e for v, e in m}}
+            for m, c in self.sorted_terms()
+        ]
         return {"vars": names, "terms": terms}
 
     @classmethod
@@ -425,19 +420,22 @@ class Poly:
         for t in doc["terms"]:
             if not isinstance(t, Mapping) or "coeff" not in t:
                 raise ValueError("each term needs a coeff and exps")
+            c = t["coeff"]
+            if isinstance(c, (bool, float)):
+                raise ValueError(f"bad coefficient {c!r}")
             try:
-                c = Fraction(t["coeff"])
+                c = Fraction(c)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValueError(f"bad coefficient {t['coeff']!r}") from exc
+                raise ValueError(f"bad coefficient {c!r}") from exc
             exps = t.get("exps", {})
             if not isinstance(exps, Mapping):
                 raise ValueError("exps must be an object")
             parsed: dict[int, int] = {}
             for name, e in exps.items():
-                if not isinstance(e, int) or e <= 0:
+                if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                     raise ValueError(f"bad exponent {e!r} for {name!r}")
                 parsed[_parse_var(name)] = e
-            m = _mono_from_exps(parsed)
+            m = mono_from_exps(parsed)
             nc = acc.get(m, Fraction(0)) + c
             if nc:
                 acc[m] = nc

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,25 @@ def test_bad_input_file_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, _, err = run(capsys, "kernel-check", "--family", "fib", "--input", missing)
     assert code == 2
+
+
+def test_traced_benchmark_launcher_runs(tmp_path):
+    # the benchmark's traced run wraps package functions by name, so a
+    # rename in the package must show up here rather than in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launcher.py"), str(spans),
+         "--", "scan", "--family", "fib", "--max", "4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    memos = json.loads(spans.read_text(encoding="utf-8"))["memos"]
+    assert set(memos) == {
+        "families.family_poly",
+        "derivops.builtin_image",
+        "intertwine.recurrence_rows",
+        "intertwine.beta_rows",
+        "intertwine.b_coeffs",
+    }

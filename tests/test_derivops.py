@@ -3,17 +3,9 @@ import random
 import pytest
 
 from conftest import random_fraction, random_poly
-from fiblucas.derivops import (
-    APPELL,
-    FIBONACCI,
-    LUCAS,
-    Derivation,
-    builtin_image,
-    closed_power_on_generator,
-    derive_power,
-    kernel_member,
-)
-from fiblucas.families import family_poly
+from fiblucas.derivops import Derivation, builtin_image, kernel_member
+from fiblucas.dixmier import closed_power_on_generator
+from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
 from fiblucas.polyring import Poly
 
@@ -89,19 +81,19 @@ def test_derive_power_zero_is_identity():
     d = Derivation.fibonacci()
     for _ in range(10):
         p = random_poly(rng)
-        assert derive_power(d, p, 0) == p
+        assert d.power(p, 0) == p
 
 
 def test_derive_power_example():
     # iterate the image table by hand: D(5x5 - 3x3 + x1) = 20x4 - 16x2
     d = Derivation.fibonacci()
-    assert derive_power(d, g(6), 2) == 20 * g(4) - 16 * g(2)
+    assert d.power(g(6), 2) == 20 * g(4) - 16 * g(2)
 
 
 def test_fibonacci_nilpotency_on_generators():
     d = Derivation.fibonacci()
     for n in range(1, 11):
-        assert derive_power(d, g(n), n) == 0
+        assert d.power(g(n), n) == 0
 
 
 def test_minimal_nilpotency_index_bounded():
@@ -125,7 +117,7 @@ def test_closed_power_reduces_to_image_at_k_one():
 def test_closed_power_examples():
     assert closed_power_on_generator(FIBONACCI, 6, 2) == 20 * g(4) - 16 * g(2)
     d = Derivation.lucas()
-    assert closed_power_on_generator(LUCAS, 5, 2) == derive_power(d, g(5), 2)
+    assert closed_power_on_generator(LUCAS, 5, 2) == d.power(g(5), 2)
 
 
 def test_closed_power_matches_iterated_application():
@@ -133,9 +125,8 @@ def test_closed_power_matches_iterated_application():
         d = Derivation(kind)
         for n in range(1, 13):
             for k in range(1, n + 1):
-                assert closed_power_on_generator(kind, n, k) == derive_power(
-                    d, g(n), k
-                ), (kind, n, k)
+                expected = d.power(g(n), k)
+                assert closed_power_on_generator(kind, n, k) == expected, (kind, n, k)
 
 
 def test_closed_power_argument_checks():

@@ -1,14 +1,14 @@
 import pytest
 
 from fiblucas.families import (
-    APPELL_MONOMIAL,
+    APPELL,
     FIBONACCI,
     LUCAS,
     family_poly,
     generating_function_coeffs,
     verify_derivative_formula,
 )
-from fiblucas.polyring import Poly
+from fiblucas.polyring import X, Poly
 
 x = Poly.x()
 
@@ -31,18 +31,29 @@ def test_lucas_opening_values():
 
 
 def test_appell_monomials():
-    assert family_poly(APPELL_MONOMIAL, 0) == Poly.one()
-    assert family_poly(APPELL_MONOMIAL, 5) == x ** 5
+    assert family_poly(APPELL, 0) == Poly.one()
+    assert family_poly(APPELL, 5) == x ** 5
     for n in range(1, 10):
-        a = family_poly(APPELL_MONOMIAL, n)
-        assert a.diff_x() == n * family_poly(APPELL_MONOMIAL, n - 1)
+        a = family_poly(APPELL, n)
+        assert a.diff_x() == n * family_poly(APPELL, n - 1)
 
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS])
 def test_generating_function_reproduces_recurrence(kind):
-    coeffs = generating_function_coeffs(kind, 12)
-    for n in range(12):
-        assert coeffs[n] == family_poly(kind, n)
+    # orders 1..3 are shorter than the numerator and denominator series
+    for order in (1, 2, 3, 12):
+        coeffs = generating_function_coeffs(kind, order)
+        for n in range(order):
+            assert coeffs[n] == family_poly(kind, n), (order, n)
+        assert all(isinstance(c, Poly) for c in coeffs), order
+
+
+def test_cold_family_poly_does_not_recurse_deeply():
+    family_poly.cache_clear()
+    f = family_poly(FIBONACCI, 700)
+    assert f.degree() == 699
+    assert f.coefficient({X: 699}) == 1
+    assert f.coefficient({X: 697}) == 698
 
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS])
@@ -73,8 +84,8 @@ def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         family_poly(FIBONACCI, -1)
     with pytest.raises(ValueError):
-        verify_derivative_formula(APPELL_MONOMIAL, 2)
+        verify_derivative_formula(APPELL, 2)
     with pytest.raises(ValueError):
-        generating_function_coeffs(APPELL_MONOMIAL, 4)
+        generating_function_coeffs(APPELL, 4)
     with pytest.raises(ValueError):
         generating_function_coeffs(FIBONACCI, 0)

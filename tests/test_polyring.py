@@ -258,6 +258,9 @@ def test_json_merges_duplicate_terms():
         {"vars": [], "terms": [{"coeff": "a", "exps": {}}]},
         {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 0}}]},
         {"vars": [], "terms": [{"coeff": "1", "exps": {"z": 1}}]},
+        {"vars": [], "terms": [{"coeff": 0.1, "exps": {}}]},
+        {"vars": [], "terms": [{"coeff": True, "exps": {}}]},
+        {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": True}}]},
     ],
 )
 def test_json_bad_documents_rejected(doc):
