@@ -150,14 +150,8 @@ def _cmd_intertwine(args) -> int:
     routes_agree = True
     if args.route == "all":
         s_top = max(1, (args.max - 1) // 2)
-        for s in range(1, s_top + 1):
-            for n in range(s, args.max + 1):
-                vals = {
-                    intertwine.alpha(args.kind, n, s, route)
-                    for route in intertwine.ROUTES
-                }
-                if len(vals) != 1:
-                    routes_agree = False
+        tables = {intertwine.alpha_rows(args.kind, s_top, args.max, r) for r in intertwine.ROUTES}
+        routes_agree = len(tables) == 1
         sub = intertwine.psi(args.kind, args.max)
     else:
         sub = intertwine.psi(args.kind, args.max, route=args.route)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .families import APPELL, FIBONACCI, LUCAS
 from .polyring import Mono, Poly, mono_decrement, mono_mul, var_name
@@ -128,7 +128,9 @@ class Derivation:
             raise ValueError(
                 "derivations act on generator polynomials; found x"
             )
-        acc: dict[Mono, Fraction] = {}
+        return Poly.from_terms(self._leibniz_terms(p))
+
+    def _leibniz_terms(self, p: Poly) -> Iterator[tuple[Mono, Fraction]]:
         img_terms: dict[int, Poly] = {}
         for mono, c in p.items():
             for v, e in mono:
@@ -141,13 +143,7 @@ class Derivation:
                 rest = mono_decrement(mono, v)
                 f = c * e
                 for m2, c2 in img.items():
-                    key = mono_mul(rest, m2)
-                    nc = acc.get(key, Fraction(0)) + f * c2
-                    if nc:
-                        acc[key] = nc
-                    else:
-                        acc.pop(key, None)
-        return Poly.from_terms(acc.items())
+                    yield mono_mul(rest, m2), f * c2
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged."""

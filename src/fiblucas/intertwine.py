@@ -7,8 +7,10 @@ target derivation.  The two maps built here are
     AL:  x_n -> x_n     + sum_s alpha_n^(s) x_{n-2s}
     AF:  x_n -> x_{n+1} + sum_s alpha_n^(s) x_{n+1-2s}
 
-with s = 1..floor((n-1)/2).  The coefficients alpha_n^(s) can be
-computed three independent ways, and all three must agree:
+with s = 1..floor((n-1)/2).  The coefficients come as whole tables,
+alpha_rows(kind, s_max, n_max, route)[s][n], which alpha, psi and the
+CLI read.  Each table can be computed three independent ways, and all
+three must agree:
 
 recurrence ("direct") route.  Matching coefficients in the intertwining
 condition gives, per diagonal s, a first-order recurrence with boundary
@@ -63,6 +65,7 @@ __all__ = [
     "solve_recurrence_al",
     "solve_recurrence_af",
     "b_sequence",
+    "alpha_rows",
     "alpha",
     "LinearSubstitution",
     "psi",
@@ -77,6 +80,10 @@ ROUTE_RECURRENCE = "recurrence"
 ROUTE_BETA = "beta"
 ROUTE_SERIES = "series"
 ROUTES = (ROUTE_RECURRENCE, ROUTE_BETA, ROUTE_SERIES)
+
+# Bound on each table memo: scalar alpha calls still key one recurrence
+# table per (s, max(n, 2s)).
+_MEMO_SIZE = 32
 
 
 def _check_kind(kind: str) -> None:
@@ -128,7 +135,7 @@ def solve_recurrence_af(
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _b_coeffs(kind: str, count: int) -> tuple[Fraction, ...]:
     series = bessel_j0_series(count) if kind == AL else bessel_j1_series(count)
     return series.reciprocal().coeffs
@@ -143,7 +150,7 @@ def b_sequence(kind: str, count: int) -> list[Fraction]:
     return list(_b_coeffs(kind, count))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _beta_rows(kind: str, s_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """beta_i^(s) for 0 <= i <= s <= s_max, from the beta recurrences."""
     rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
@@ -160,30 +167,18 @@ def _beta_rows(kind: str, s_max: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _beta_from_b(b: Sequence[Fraction], s: int) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction((-1) ** (s - i)) * b[i] / factorial(s - i)
-        for i in range(s + 1)
-    )
-
-
 def _alpha_from_beta(
     kind: str, beta_row: Sequence[Fraction], n: int, s: int
 ) -> Fraction:
-    if kind == AL:
-        total = sum(
-            (beta_row[i] * falling_factorial(n, s + i) for i in range(s + 1)),
-            Fraction(0),
-        )
-        return total
+    shift, lead = (0, 1) if kind == AL else (-1, n - 2 * s + 1)
     total = sum(
-        (beta_row[i] * falling_factorial(n, s - 1 + i) for i in range(s + 1)),
+        (beta_row[i] * falling_factorial(n, s + shift + i) for i in range(s + 1)),
         Fraction(0),
     )
-    return (n - 2 * s + 1) * total
+    return lead * total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _recurrence_rows(
     kind: str, s_max: int, n_max: int
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -193,48 +188,59 @@ def _recurrence_rows(
     n_eff = max(n_max, 2 * s_max)
     ones = tuple(Fraction(1) for _ in range(n_eff + 1))
     rows: list[tuple[Fraction, ...]] = [ones]
-    if kind == AL:
-        for s in range(1, s_max + 1):
-            a = 2 * s
-            prev = rows[s - 1]
-            row = [Fraction(0)] * (n_eff + 1)
+    t_rows: list[tuple[Fraction, ...]] = [ones]  # AF only
+    for s in range(1, s_max + 1):
+        a = 2 * s
+        prev = rows[s - 1]
+        row = [Fraction(0)] * (n_eff + 1)
+        if kind == AL:
             row[a:] = solve_recurrence_al(a, prev, n_eff)
             for m in range(a - 1, -1, -1):
                 row[m] = Fraction(m + 1 - a, m + 1) * row[m + 1] - prev[m]
-            rows.append(tuple(row))
-    else:
-        t_rows: list[tuple[Fraction, ...]] = [ones]
-        for s in range(1, s_max + 1):
-            a = 2 * s
-            prev = rows[s - 1]
+        else:
             t_prev = t_rows[s - 1]
-            row = [Fraction(0)] * (n_eff + 1)
             row[a:] = solve_recurrence_af(a, prev, n_eff)
             for m in range(a - 1, -1, -1):
                 row[m] = Fraction(m + 1 - a, m + 1) * (row[m + 1] - t_prev[m + 1])
-            rows.append(tuple(row))
-            t_rows.append(
-                tuple(row[i] - t_prev[i] for i in range(n_eff + 1))
-            )
+            t_rows.append(tuple(row[i] - t_prev[i] for i in range(n_eff + 1)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def alpha_rows(
+    kind: str, s_max: int, n_max: int, route: str = ROUTE_BETA
+) -> tuple[tuple[Fraction, ...], ...]:
+    """alpha_n^(s) by one route as rows[s][n]: s = 0..s_max (row 0 is all
+    ones), n = 0..max(n_max, 2*s_max); no route reads another's table."""
+    _check_kind(kind)
+    if s_max < 0 or n_max < 0:
+        raise ValueError("s_max and n_max must be >= 0")
+    if route == ROUTE_RECURRENCE:
+        return _recurrence_rows(kind, s_max, n_max)
+    if route == ROUTE_BETA:
+        beta = _beta_rows(kind, s_max)
+    elif route == ROUTE_SERIES:
+        b = _b_coeffs(kind, s_max + 1)
+        beta = [
+            tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
+            for s in range(s_max + 1)
+        ]
+    else:
+        raise ValueError(f"unknown route: {route!r}")
+    columns = range(max(n_max, 2 * s_max) + 1)
+    rows = [tuple(Fraction(1) for _ in columns)]
+    for s in range(1, s_max + 1):
+        rows.append(tuple(_alpha_from_beta(kind, beta[s], n, s) for n in columns))
     return tuple(rows)
 
 
 def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> Fraction:
     """The intertwining coefficient alpha_n^(s) by the requested route."""
-    _check_kind(kind)
     if s < 1:
         raise ValueError("s must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if route == ROUTE_RECURRENCE:
-        return _recurrence_rows(kind, s, max(n, 2 * s))[s][n]
-    if route == ROUTE_BETA:
-        return _alpha_from_beta(kind, _beta_rows(kind, s)[s], n, s)
-    if route == ROUTE_SERIES:
-        return _alpha_from_beta(
-            kind, _beta_from_b(_b_coeffs(kind, s + 1), s), n, s
-        )
-    raise ValueError(f"unknown route: {route!r}")
+    return alpha_rows(kind, s, n, route)[s][n]
 
 
 class LinearSubstitution:
@@ -275,15 +281,15 @@ def psi(kind: str, n_max: int, route: str = ROUTE_BETA) -> LinearSubstitution:
     AF images shift indices up by one, so the generator universe grows
     to x_{n_max+1} internally.
     """
-    _check_kind(kind)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    rows = alpha_rows(kind, max(1, (n_max - 1) // 2), n_max, route)
     images: dict[int, Poly] = {}
     for n in range(n_max + 1):
         lead = n if kind == AL else n + 1
         p = Poly.gen(lead)
         for s in range(1, (n - 1) // 2 + 1):
-            c = alpha(kind, n, s, route)
+            c = rows[s][n]
             if c:
                 p = p + c * Poly.gen(lead - 2 * s)
         images[n] = p

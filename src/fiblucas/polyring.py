@@ -51,7 +51,7 @@ def var_name(v: int) -> str:
 def _parse_var(name: str) -> int:
     if name == "x":
         return X
-    if name.startswith("x") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
         return int(name[1:])
     raise ValueError(f"unknown variable name: {name!r}")
 
@@ -359,14 +359,13 @@ class Poly:
             raise ValueError(
                 f"diff_x requires a polynomial in x only; found {bad}"
             )
-        acc: dict[Mono, Fraction] = {}
+        pairs = []
         for m, c in self._terms.items():
             if not m:
                 continue
             ((_, e),) = m
-            nm: Mono = ((X, e - 1),) if e > 1 else ()
-            acc[nm] = acc.get(nm, Fraction(0)) + c * e
-        return Poly._make({m: c for m, c in acc.items() if c})
+            pairs.append((((X, e - 1),) if e > 1 else (), c * e))
+        return Poly.from_terms(pairs)
 
     # ---- rendering and serialization -----------------------------------
 
@@ -414,9 +413,11 @@ class Poly:
             raise ValueError("polynomial JSON must be an object")
         if "terms" not in doc or not isinstance(doc["terms"], list):
             raise ValueError('polynomial JSON needs a "terms" array')
+        if not isinstance(doc.get("vars", []), list):
+            raise ValueError('"vars" must be an array of variable names')
         for name in doc.get("vars", []):
             _parse_var(name)  # validates
-        acc: dict[Mono, Fraction] = {}
+        pairs: list[tuple[Mono, Fraction]] = []
         for t in doc["terms"]:
             if not isinstance(t, Mapping) or "coeff" not in t:
                 raise ValueError("each term needs a coeff and exps")
@@ -435,13 +436,8 @@ class Poly:
                 if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                     raise ValueError(f"bad exponent {e!r} for {name!r}")
                 parsed[_parse_var(name)] = e
-            m = mono_from_exps(parsed)
-            nc = acc.get(m, Fraction(0)) + c
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-        return cls._make(acc)
+            pairs.append((mono_from_exps(parsed), c))
+        return cls.from_terms(pairs)
 
 
 def divide_by_generator(p: Poly, v: int) -> Poly | None:

@@ -168,6 +168,14 @@ def test_bad_input_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "kernel-check", "--family", "fib", "--input", missing)
     assert code == 2
 
+    for i, doc in enumerate(({"terms": [], "vars": 5}, {"terms": [], "vars": [3]})):
+        path = tmp_path / f"vars{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for cmd in ("derive", "kernel-check", "identity"):
+            code, _, err = run(capsys, cmd, "--family", "fib", "--input", str(path))
+            assert code == 2, (cmd, doc)
+            assert "error:" in err
+
 
 def test_traced_benchmark_launcher_runs(tmp_path):
     # the benchmark's traced run wraps package functions by name, so a
@@ -189,3 +197,9 @@ def test_traced_benchmark_launcher_runs(tmp_path):
         "intertwine.beta_rows",
         "intertwine.b_coeffs",
     }
+    res = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launcher.py"), str(spans),
+         "--", "intertwine", "--kind", "AF", "--max", "6", "--route", "all"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr

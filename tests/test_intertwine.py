@@ -11,7 +11,12 @@ from fiblucas.intertwine import (
     AL,
     ROUTES,
     LinearSubstitution,
+    _MEMO_SIZE,
+    _b_coeffs,
+    _beta_rows,
+    _recurrence_rows,
     alpha,
+    alpha_rows,
     b_sequence,
     check_intertwining,
     psi,
@@ -216,6 +221,27 @@ def test_alpha_three_routes_agree():
                 assert len(values) == 1, (kind, n, s)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 10, 60])
+def test_alpha_rows_identical_across_routes(n_max):
+    s_max = max(1, (n_max - 1) // 2)
+    for kind in (AL, AF):
+        tables = [alpha_rows(kind, s_max, n_max, route) for route in ROUTES]
+        # every column n = 0..max(n_max, 2 s_max), the n < s ones included
+        assert all(len(row) == max(n_max, 2 * s_max) + 1 for row in tables[0])
+        assert tables[0][0] == (1,) * len(tables[0][0])
+        assert tables[0] == tables[1] == tables[2], kind
+
+
+def test_table_memos_stay_bounded():
+    # scalar alpha keys one recurrence table per (s, max(n, 2s))
+    for route in ROUTES:
+        for s in range(1, 7):
+            for n in range(81):
+                alpha(AL, n, s, route)
+    for memo in (_recurrence_rows, _beta_rows, _b_coeffs):
+        assert memo.cache_info().currsize <= _MEMO_SIZE
+
+
 def test_alpha_boundary_condition():
     for kind in (AL, AF):
         for s in range(1, 7):
@@ -235,6 +261,13 @@ def test_alpha_argument_validation():
         alpha(AL, -1, 1)
     with pytest.raises(ValueError):
         alpha(AL, 4, 1, route="magic")
+    with pytest.raises(ValueError):
+        alpha_rows("XY", 2, 4)
+    for route in ROUTES:
+        with pytest.raises(ValueError):
+            alpha_rows(AL, -1, 4, route)
+        with pytest.raises(ValueError):
+            alpha_rows(AL, 2, -1, route)
 
 
 # ---- substitutions and the intertwining check ----------------------------
@@ -271,10 +304,12 @@ def test_psi_leading_terms():
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_psi_identical_across_routes(route):
-    base = psi(AL, 10)
-    other = psi(AL, 10, route=route)
-    for n in range(11):
-        assert base.image(n) == other.image(n)
+    for kind in (AL, AF):
+        for n_max in (10, 30):
+            base = psi(kind, n_max)
+            other = psi(kind, n_max, route=route)
+            for n in range(n_max + 1):
+                assert base.image(n) == other.image(n), (kind, n_max, n)
 
 
 def test_check_intertwining_success():

@@ -261,6 +261,8 @@ def test_json_merges_duplicate_terms():
         {"vars": [], "terms": [{"coeff": 0.1, "exps": {}}]},
         {"vars": [], "terms": [{"coeff": True, "exps": {}}]},
         {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": True}}]},
+        {"terms": [], "vars": 5},
+        {"terms": [], "vars": [3]},
     ],
 )
 def test_json_bad_documents_rejected(doc):
