@@ -32,6 +32,8 @@ def _read_poly(source: str) -> Poly:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("invalid JSON: nested too deeply") from exc
     return Poly.from_json(doc)
 
 

@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 _NILPOTENCY_CAP = 512  # iterations before giving up on termination
+# Size limits, rejected up front rather than run for minutes.  C_n has
+# about n^2/4 terms.  At the limits, on CPython 3.11 and a 2-vCPU x86-64
+# VM, `cayley --route both` takes about 2 s, `scan` about 7 s, and
+# `identity` on x_1000 about 4 s, nearly all of it building the family
+# polynomial.  C_n uses generators up to x_n, so every Cayley element
+# stays within the index limit that identity.phi_subst enforces.
+_MAX_CAYLEY_N = 150
+_MAX_FAMILY_INDEX = 1000
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,8 @@ def _check_cayley_args(kind: str, n: int) -> None:
             raise ValueError("lucas Cayley elements start at n = 1")
     else:
         raise ValueError(f"Cayley elements exist for fibonacci or lucas, got {kind!r}")
+    if n > _MAX_CAYLEY_N:
+        raise ValueError(f"Cayley elements are limited to n <= {_MAX_CAYLEY_N}, got n = {n}")
 
 
 def cayley_closed(kind: str, n: int) -> Poly:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .derivops import Derivation, kernel_member
-from .dixmier import cayley_closed
+from .dixmier import _MAX_FAMILY_INDEX, _check_cayley_args, cayley_closed
 from .families import FIBONACCI, LUCAS, family_poly
 from .intertwine import AL, psi
-from .polyring import Poly, PolyMatrix, X, divide_by_generator
+from .polyring import Mono, Poly, PolyMatrix, X, divide_by_generator
 
 __all__ = [
     "IdentityReport",
@@ -38,11 +39,76 @@ def _check_family(family: str) -> None:
         raise ValueError(f"family must be fibonacci or lucas, got {family!r}")
 
 
+def _pack(img: Poly, b: int) -> int:
+    """Kronecker packing of a polynomial in x with integer coefficients
+    (as family polynomials have): its value at x = 2^b."""
+    return sum(c.numerator << (b * (m[0][1] if m else 0)) for m, c in img.items())
+
+
+def _unpack(packed: int, b: int) -> list[int]:
+    """Balanced base-2^b digits of ``packed``, lowest first; inverts
+    _pack when every digit lies in [-2^(b-1), 2^(b-1))."""
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    digits = []
+    while packed:
+        d = packed & mask
+        packed >>= b
+        if d >= half:
+            d -= 1 << b
+            packed += 1
+        digits.append(d)
+    return digits
+
+
+def _evaluate(terms: list[tuple[Mono, int]], base: dict[int, int]) -> int:
+    """sum c * prod base[v]^e over the (monomial, c) terms.
+
+    One Horner level: terms that share all but their last factor are
+    summed first, so the shared factors are multiplied in once.
+    """
+    powers: dict[tuple[int, int], int] = {}
+
+    def power(ve: tuple[int, int]) -> int:
+        if ve not in powers:
+            powers[ve] = base[ve[0]] ** ve[1]
+        return powers[ve]
+
+    groups: dict[Mono, int] = {}
+    for m, c in terms:
+        if m:
+            c *= power(m[-1])
+        groups[m[:-1]] = groups.get(m[:-1], 0) + c
+    return sum(c * prod(map(power, rest)) for rest, c in groups.items())
+
+
 def phi_subst(family: str, p: Poly) -> Poly:
-    """Substitute x_i -> family polynomial i; result is univariate in x."""
+    """Substitute x_i -> family polynomial i; result is univariate in x.
+
+    Kronecker substitution over the integers: with den the common
+    denominator of p, each image is packed into one int, its value at
+    x = 2^b, so den*p evaluates to one int whose digits, divided by
+    den, are the result's coefficients.  No result coefficient exceeds
+    sum |c*den| * prod ||image_v||_1^e in size (||.||_1 the sum of
+    absolute coefficients), so b two bits past that bound decodes
+    exactly.
+    """
     _check_family(family)
-    images = {v: family_poly(family, v) for v in p.generator_vars()}
-    return p.substitute(images)
+    gens = p.generator_vars()
+    if gens and max(gens) > _MAX_FAMILY_INDEX:
+        raise ValueError(
+            f"generator x{max(gens)} is past the family index limit {_MAX_FAMILY_INDEX}"
+        )
+    images = {v: family_poly(family, v) for v in gens}
+    images[X] = Poly.x()
+    den = lcm(*(c.denominator for _, c in p.items()))
+    terms = [(m, c.numerator * (den // c.denominator)) for m, c in p.items()]
+    norms = {v: sum(abs(c.numerator) for _, c in img.items()) for v, img in images.items()}
+    b = _evaluate([(m, abs(c)) for m, c in terms], norms).bit_length() + 2
+    total = _evaluate(terms, {v: _pack(img, b) for v, img in images.items()})
+    return Poly.from_terms(
+        (((X, k),) if k else (), Fraction(d, den))
+        for k, d in enumerate(_unpack(total, b))
+    )
 
 
 @dataclass(frozen=True)
@@ -97,6 +163,7 @@ def conjecture_scan(family: str, n_max: int) -> dict:
     n_min = 3 if family == FIBONACCI else 1
     if n_max < (3 if family == FIBONACCI else 2):
         raise ValueError("n_max below the family's first scored element")
+    _check_cayley_args(family, n_max)
     rows = []
     ok_all = True
     for n in range(n_min, n_max + 1):

@@ -86,9 +86,11 @@ ROUTES = (ROUTE_RECURRENCE, ROUTE_BETA, ROUTE_SERIES)
 _MEMO_SIZE = 32
 
 
-def _check_kind(kind: str) -> None:
+def _check_kind(kind: str, route: str = ROUTE_BETA) -> None:
     if kind not in _KINDS:
         raise ValueError(f"kind must be {AL!r} or {AF!r}, got {kind!r}")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route: {route!r}")
 
 
 def solve_recurrence_al(
@@ -207,40 +209,45 @@ def _recurrence_rows(
     return tuple(rows)
 
 
+def _beta_row(kind: str, route: str, s: int, s_max: int) -> tuple[Fraction, ...]:
+    """beta_i^(s), i = 0..s, by the beta or series route, read from the
+    memo sized for s_max (its first rows do not depend on s_max)."""
+    if route == ROUTE_BETA:
+        return _beta_rows(kind, s_max)[s]
+    b = _b_coeffs(kind, s_max + 1)
+    return tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
+
+
 def alpha_rows(
     kind: str, s_max: int, n_max: int, route: str = ROUTE_BETA
 ) -> tuple[tuple[Fraction, ...], ...]:
     """alpha_n^(s) by one route as rows[s][n]: s = 0..s_max (row 0 is all
     ones), n = 0..max(n_max, 2*s_max); no route reads another's table."""
-    _check_kind(kind)
+    _check_kind(kind, route)
     if s_max < 0 or n_max < 0:
         raise ValueError("s_max and n_max must be >= 0")
     if route == ROUTE_RECURRENCE:
         return _recurrence_rows(kind, s_max, n_max)
-    if route == ROUTE_BETA:
-        beta = _beta_rows(kind, s_max)
-    elif route == ROUTE_SERIES:
-        b = _b_coeffs(kind, s_max + 1)
-        beta = [
-            tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
-            for s in range(s_max + 1)
-        ]
-    else:
-        raise ValueError(f"unknown route: {route!r}")
     columns = range(max(n_max, 2 * s_max) + 1)
     rows = [tuple(Fraction(1) for _ in columns)]
     for s in range(1, s_max + 1):
-        rows.append(tuple(_alpha_from_beta(kind, beta[s], n, s) for n in columns))
+        beta = _beta_row(kind, route, s, s_max)
+        rows.append(tuple(_alpha_from_beta(kind, beta, n, s) for n in columns))
     return tuple(rows)
 
 
 def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> Fraction:
-    """The intertwining coefficient alpha_n^(s) by the requested route."""
+    """The intertwining coefficient alpha_n^(s) by the requested route;
+    the beta and series routes evaluate the one cell, the recurrence
+    route reads its table."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return alpha_rows(kind, s, n, route)[s][n]
+    _check_kind(kind, route)
+    if route == ROUTE_RECURRENCE:
+        return _recurrence_rows(kind, s, n)[s][n]
+    return _alpha_from_beta(kind, _beta_row(kind, route, s, s), n, s)
 
 
 class LinearSubstitution:

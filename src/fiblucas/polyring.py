@@ -422,11 +422,11 @@ class Poly:
             if not isinstance(t, Mapping) or "coeff" not in t:
                 raise ValueError("each term needs a coeff and exps")
             c = t["coeff"]
-            if isinstance(c, (bool, float)):
-                raise ValueError(f"bad coefficient {c!r}")
+            if not isinstance(c, str):
+                raise ValueError(f"coefficient must be a string, got {c!r}")
             try:
                 c = Fraction(c)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad coefficient {c!r}") from exc
             exps = t.get("exps", {})
             if not isinstance(exps, Mapping):

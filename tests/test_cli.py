@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fiblucas import cli
-from fiblucas.dixmier import cayley_closed
+from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
 from fiblucas.polyring import Poly
 
 
@@ -175,6 +175,31 @@ def test_bad_input_file_exits_two(tmp_path, capsys):
             code, _, err = run(capsys, cmd, "--family", "fib", "--input", str(path))
             assert code == 2, (cmd, doc)
             assert "error:" in err
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    code, _, err = run(capsys, "kernel-check", "--family", "fib", "--input", str(deep))
+    assert code == 2
+    assert "nested too deeply" in err
+
+    path = tmp_path / "int_coeff.json"
+    path.write_text(json.dumps({"terms": [{"coeff": 3, "exps": {"x1": 1}}]}), encoding="utf-8")
+    code, _, err = run(capsys, "derive", "--family", "fib", "--input", str(path))
+    assert code == 2
+    assert "coefficient must be a string" in err
+
+
+def test_size_limits_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "cayley", "--family", "fib", "--n", str(_MAX_CAYLEY_N + 1))
+    assert (code, out) == (2, "")
+    assert f"limited to n <= {_MAX_CAYLEY_N}" in err
+    code, out, err = run(capsys, "scan", "--family", "lucas", "--max", "100000")
+    assert (code, out) == (2, "")
+    assert f"limited to n <= {_MAX_CAYLEY_N}" in err
+    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX + 1))
+    code, out, err = run(capsys, "identity", "--family", "fib", "--input", path)
+    assert (code, out) == (2, "")
+    assert f"family index limit {_MAX_FAMILY_INDEX}" in err
 
 
 def test_traced_benchmark_launcher_runs(tmp_path):

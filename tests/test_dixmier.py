@@ -2,6 +2,7 @@ import pytest
 
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import (
+    _MAX_CAYLEY_N,
     Slice,
     cayley_closed,
     cayley_constructive,
@@ -147,6 +148,15 @@ def test_cayley_bounds_rejected():
         cayley_constructive("fibonacci", 1)
     with pytest.raises(ValueError):
         cayley_closed("appell", 3)
+
+
+def test_cayley_size_limit():
+    for kind in ("fibonacci", "lucas"):
+        for build in (cayley_closed, cayley_constructive):
+            with pytest.raises(ValueError, match="limited to n <= "):
+                build(kind, _MAX_CAYLEY_N + 1)
+    # the largest size the benchmark builds stays inside the limit
+    assert _MAX_CAYLEY_N > 120
 
 
 def test_localized_poly_str():

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
-from fiblucas.dixmier import cayley_closed
+from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
+from fiblucas.families import family_poly
 from fiblucas.identity import (
     IdentityReport,
+    _pack,
+    _unpack,
     conjecture_scan,
     discriminant_demo,
     emit,
@@ -17,7 +20,7 @@ from fiblucas.identity import (
     verify_identity,
 )
 from fiblucas.intertwine import AL, psi
-from fiblucas.polyring import Poly
+from fiblucas.polyring import Poly, X
 
 
 def g(n):
@@ -51,6 +54,66 @@ def test_phi_is_a_homomorphism():
         for family in ("fibonacci", "lucas"):
             assert phi_subst(family, p * q) == phi_subst(family, p) * phi_subst(family, q)
             assert phi_subst(family, p + q) == phi_subst(family, p) + phi_subst(family, q)
+
+
+def sparse_phi(family, p):
+    """The reference substitution: sparse Poly products over Fraction."""
+    return p.substitute({v: family_poly(family, v) for v in p.generator_vars()})
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_phi_matches_sparse_substitution_on_random_polys(family):
+    rng = random.Random(4242)
+    cases = [Poly.zero(), Poly.one(), Poly.constant(Fraction(-7, 3)), Poly.x()]
+    for _ in range(120):
+        p = random_poly(rng, max_var=40, max_degree=6, max_terms=8, allow_x=True)
+        # a large rational scale so the common denominator is not small
+        cases.append(p * Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)))
+        cases.append(p + random_fraction(rng))
+    for p in cases:
+        assert phi_subst(family, p) == sparse_phi(family, p), p
+
+
+def test_phi_matches_sparse_substitution_on_cayley_elements():
+    for family, lo in (("fibonacci", 3), ("lucas", 1)):
+        for n in range(lo, 61):
+            c = cayley_closed(family, n)
+            assert phi_subst(family, c) == sparse_phi(family, c), (family, n)
+
+
+def test_phi_decodes_coefficients_at_the_proved_bound():
+    # F_1 = L_0 = 1 and F_2 = L_1 = x have one coefficient each, so in the
+    # first three cases a result digit equals the bound
+    # B = sum |c*den| * prod ||img||_1^e = 2^201 - 2 that fixes the digit
+    # width b = 203: 2^(b-2) - 2, as close to the decode limit 2^(b-1) as
+    # the width rule lets a digit come.  The last case has adjacent
+    # digits of opposite sign.
+    big = 2**200 - 1
+    x = Poly.x()
+    cases = (
+        ("fibonacci", big * (g(2) ** 3 * x + g(1) ** 5 * x**4), 2 * big * x**4),
+        ("fibonacci", -big * (g(2) ** 2 + x**2), -2 * big * x**2),
+        ("lucas", Fraction(big, 7) * (g(0) * g(1) + x), Fraction(2 * big, 7) * x),
+        ("lucas", big * (g(1) ** 2 - x * g(0)), big * x**2 - big * x),
+    )
+    for family, p, want in cases:
+        assert phi_subst(family, p) == want == sparse_phi(family, p)
+
+
+def test_pack_unpack_round_trip_at_digit_extremes():
+    b = 8
+    half = 1 << (b - 1)
+    digits = [half - 1, -half, -1, half - 1, 0, -half, 1, -half]
+    packed = _pack(Poly.from_terms((((X, k),) if k else (), d) for k, d in enumerate(digits)), b)
+    assert _unpack(packed, b) == digits
+    assert _unpack(_pack(Poly.zero(), b), b) == []
+
+
+def test_phi_and_scan_size_limits():
+    with pytest.raises(ValueError, match="family index limit"):
+        phi_subst("fibonacci", g(_MAX_FAMILY_INDEX + 1))
+    with pytest.raises(ValueError, match="limited to n <= "):
+        conjecture_scan("lucas", _MAX_CAYLEY_N + 1)
 
 
 def test_phi_rejects_unknown_family():

@@ -4,11 +4,15 @@ from math import factorial
 
 import pytest
 
+from fiblucas import intertwine
 from fiblucas.derivops import Derivation
 from fiblucas.exactnum import binomial
 from fiblucas.intertwine import (
     AF,
     AL,
+    ROUTE_BETA,
+    ROUTE_RECURRENCE,
+    ROUTE_SERIES,
     ROUTES,
     LinearSubstitution,
     _MEMO_SIZE,
@@ -240,6 +244,20 @@ def test_table_memos_stay_bounded():
                 alpha(AL, n, s, route)
     for memo in (_recurrence_rows, _beta_rows, _b_coeffs):
         assert memo.cache_info().currsize <= _MEMO_SIZE
+
+
+def test_scalar_alpha_evaluates_one_cell(monkeypatch):
+    # the beta and series routes evaluate alpha_n^(s) alone, not a table
+    expected = alpha_rows(AF, 6, 80, ROUTE_RECURRENCE)[6][80]
+    calls = []
+    cell = intertwine._alpha_from_beta
+    monkeypatch.setattr(
+        intertwine, "_alpha_from_beta", lambda *args: calls.append(args) or cell(*args)
+    )
+    for route in (ROUTE_BETA, ROUTE_SERIES):
+        calls.clear()
+        assert alpha(AF, 80, 6, route) == expected
+        assert len(calls) == 1, route
 
 
 def test_alpha_boundary_condition():

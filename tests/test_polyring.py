@@ -263,6 +263,7 @@ def test_json_merges_duplicate_terms():
         {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": True}}]},
         {"terms": [], "vars": 5},
         {"terms": [], "vars": [3]},
+        {"vars": ["x1"], "terms": [{"coeff": 3, "exps": {"x1": 1}}]},
     ],
 )
 def test_json_bad_documents_rejected(doc):
