@@ -2,7 +2,8 @@
 
 Thin veneer: every subcommand maps to one library operation plus
 serialization.  Exit codes: 0 verified/success, 1 verification failure,
-2 usage error.
+2 usage or input error, 3 internal error (a crash, never reported as a
+failed verification).
 """
 
 from __future__ import annotations
@@ -191,6 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # only on a crash, so normal runs skip its import time
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

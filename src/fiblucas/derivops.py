@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from math import lcm
+from typing import Mapping
 
 from .families import APPELL, FIBONACCI, LUCAS
 from .polyring import Mono, Poly, mono_decrement, mono_mul, var_name
@@ -123,27 +124,44 @@ class Derivation:
             ) from None
 
     def __call__(self, p: Poly) -> Poly:
-        """Apply the Leibniz-linear extension to a generator polynomial."""
+        """Apply the Leibniz-linear extension to a generator polynomial.
+
+        One pass over integer numerators: with den the common
+        denominator of p, every product c*den * e * (image coefficient)
+        is summed per monomial, and each sum is divided by den once at
+        the end.  Built-in images have integer coefficients, so the sums
+        stay ints; a custom table with Fraction images stays exact.
+        """
         if p.contains_x:
             raise ValueError(
                 "derivations act on generator polynomials; found x"
             )
-        return Poly.from_terms(self._leibniz_terms(p))
-
-    def _leibniz_terms(self, p: Poly) -> Iterator[tuple[Mono, Fraction]]:
-        img_terms: dict[int, Poly] = {}
+        den = lcm(*(c.denominator for _, c in p.items()))
+        images: dict[int, list[tuple[Mono, int | Fraction]]] = {}
+        acc: dict[Mono, int | Fraction] = {}
         for mono, c in p.items():
+            num = c.numerator * (den // c.denominator)
             for v, e in mono:
-                img = img_terms.get(v)
+                img = images.get(v)
                 if img is None:
-                    img = self.image(v)
-                    img_terms[v] = img
-                if img.is_zero():
+                    img = images[v] = [
+                        (m, c2.numerator if c2.denominator == 1 else c2)
+                        for m, c2 in self.image(v).items()
+                    ]
+                if not img:
                     continue
                 rest = mono_decrement(mono, v)
-                f = c * e
-                for m2, c2 in img.items():
-                    yield mono_mul(rest, m2), f * c2
+                f = num * e
+                for m2, c2 in img:
+                    m = mono_mul(rest, m2)
+                    s = acc.get(m, 0) + f * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        for m, s in acc.items():
+            acc[m] = Fraction(s, den)
+        return Poly._make(acc)
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged."""

@@ -60,9 +60,11 @@ _NILPOTENCY_CAP = 512  # iterations before giving up on termination
 # VM, `cayley --route both` takes about 2 s, `scan` about 7 s, and
 # `identity` on x_1000 about 4 s, nearly all of it building the family
 # polynomial.  C_n uses generators up to x_n, so every Cayley element
-# stays within the index limit that identity.phi_subst enforces.
+# stays within the index limit that identity.phi_subst enforces, and
+# within its degree limit: the substituted C_n has degree at most n.
 _MAX_CAYLEY_N = 150
 _MAX_FAMILY_INDEX = 1000
+_MAX_SUBST_DEGREE = 1000
 
 
 @dataclass(frozen=True)

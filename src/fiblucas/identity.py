@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .derivops import Derivation, kernel_member
-from .dixmier import _MAX_FAMILY_INDEX, _check_cayley_args, cayley_closed
+from .dixmier import _MAX_FAMILY_INDEX, _MAX_SUBST_DEGREE, _check_cayley_args, cayley_closed
 from .families import FIBONACCI, LUCAS, family_poly
 from .intertwine import AL, psi
 from .polyring import Mono, Poly, PolyMatrix, X, divide_by_generator
@@ -81,6 +81,21 @@ def _evaluate(terms: list[tuple[Mono, int]], base: dict[int, int]) -> int:
     return sum(c * prod(map(power, rest)) for rest, c in groups.items())
 
 
+def _subst_degree(family: str, p: Poly) -> int:
+    """Bound on the degree in x of phi_subst(family, p), read off the
+    exponents: deg F_v = v-1, deg L_v = v (F_0, F_1 and L_0 add nothing).
+    Plain loops: scan runs this on every Cayley element."""
+    shift = 1 if family == FIBONACCI else 0
+    top = 0
+    for m, _ in p.items():
+        degree = 0
+        for v, e in m:
+            degree += e * (v - shift if v > shift else 1 if v == X else 0)
+        if degree > top:
+            top = degree
+    return top
+
+
 def phi_subst(family: str, p: Poly) -> Poly:
     """Substitute x_i -> family polynomial i; result is univariate in x.
 
@@ -97,6 +112,11 @@ def phi_subst(family: str, p: Poly) -> Poly:
     if gens and max(gens) > _MAX_FAMILY_INDEX:
         raise ValueError(
             f"generator x{max(gens)} is past the family index limit {_MAX_FAMILY_INDEX}"
+        )
+    degree = _subst_degree(family, p)
+    if degree > _MAX_SUBST_DEGREE:
+        raise ValueError(
+            f"substituted degree {degree} is past the degree limit {_MAX_SUBST_DEGREE}"
         )
     images = {v: family_poly(family, v) for v in gens}
     images[X] = Poly.x()

@@ -78,7 +78,11 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     exps: dict[int, int] = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ve: _var_key(ve[0])))
+    # plain tuple order puts X = -1 first; _var_key order puts it last
+    items = sorted(exps.items())
+    if items[0][0] == X:
+        items.append(items.pop(0))
+    return tuple(items)
 
 
 def mono_decrement(m: Mono, v: int) -> Mono:

@@ -9,6 +9,7 @@ import pytest
 
 from fiblucas import cli
 from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
+from fiblucas.intertwine import _MAX_INTERTWINE_N
 from fiblucas.polyring import Poly
 
 
@@ -200,6 +201,27 @@ def test_size_limits_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "identity", "--family", "fib", "--input", path)
     assert (code, out) == (2, "")
     assert f"family index limit {_MAX_FAMILY_INDEX}" in err
+    path = poly_file(tmp_path, g(150) ** 40)
+    code, out, err = run(capsys, "identity", "--family", "lucas", "--input", path)
+    assert (code, out) == (2, "")
+    assert "degree limit" in err
+    code, out, err = run(
+        capsys, "intertwine", "--kind", "AL", "--max", str(_MAX_INTERTWINE_N + 1), "--route", "all"
+    )
+    assert (code, out) == (2, "")
+    assert f"limited to n <= {_MAX_INTERTWINE_N}" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ZeroDivisionError("division by zero")])
+def test_crash_exits_three(capsys, monkeypatch, exc):
+    # a crash is neither "not verified" (1) nor a usage error (2)
+    def crash(args):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "demo", crash)
+    code, out, err = run(capsys, "demo", "discriminant")
+    assert (code, out) == (3, "")
+    assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")
 
 
 def test_traced_benchmark_launcher_runs(tmp_path):

@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, builtin_image, kernel_member
-from fiblucas.dixmier import closed_power_on_generator
+from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
-from fiblucas.polyring import Poly
+from fiblucas.polyring import Poly, mono_decrement, mono_from_exps
 
 
 def g(n):
@@ -194,3 +196,92 @@ def test_weitzenboeck_style_relation_after_substitution():
     for n in range(2, 13):
         lhs = phi_subst("fibonacci", 2 * d(g(n)) - g(2) * d(g(n - 1)))
         assert lhs == n * family_poly("fibonacci", n - 1), n
+
+
+# ---- differential check of the integer Leibniz kernel --------------------
+
+
+def _mono_product(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return mono_from_exps(exps)
+
+
+def leibniz_reference(d, p):
+    """The Fraction Leibniz loop that Derivation.__call__ replaced: every
+    product term in Fraction, merged by Poly.from_terms.  Monomials are
+    multiplied through mono_from_exps, independently of mono_mul."""
+
+    def terms():
+        img_terms = {}
+        for mono, c in p.items():
+            for v, e in mono:
+                img = img_terms.get(v)
+                if img is None:
+                    img = img_terms[v] = d.image(v)
+                if img.is_zero():
+                    continue
+                rest = mono_decrement(mono, v)
+                f = c * e
+                for m2, c2 in img.items():
+                    yield _mono_product(rest, m2), f * c2
+
+    return Poly.from_terms(terms())
+
+
+def _wide_fraction(rng):
+    # mixed signs, numerators and denominators up to 10^20
+    num = rng.randint(-(10 ** rng.randint(0, 20)), 10 ** rng.randint(0, 20))
+    return Fraction(num or 1, rng.randint(1, 10 ** rng.randint(0, 20)))
+
+
+def _wide_poly(rng, max_var, max_terms=8):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        exps = {}
+        for _ in range(rng.randint(0, 3)):
+            v = rng.randint(0, max_var)
+            exps[v] = exps.get(v, 0) + (rng.randint(20, 60) if rng.random() < 0.1 else rng.randint(1, 3))
+        terms.append((mono_from_exps(exps), _wide_fraction(rng)))
+    return Poly.from_terms(terms)
+
+
+def _assert_canonical(p):
+    for _, c in p.items():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def _custom_derivation(rng, max_var):
+    # triangular, so power terminates; Fraction images with wide denominators
+    images = {0: Poly.zero()}
+    for n in range(1, max_var + 1):
+        images[n] = _wide_poly(rng, n - 1, max_terms=3)
+    return Derivation.custom(images)
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL, "custom"])
+def test_integer_leibniz_matches_fraction_reference(kind):
+    rng = random.Random(f"leibniz-{kind}")
+    max_var = 12
+    d = _custom_derivation(rng, max_var) if kind == "custom" else Derivation(kind)
+    fixed = [
+        Poly.zero(),
+        Poly.constant(_wide_fraction(rng)),
+        Fraction(-7, 10 ** 20 + 3) * g(max_var) ** 57 + Fraction(5, 3) * g(2) ** 40 * g(max_var),
+        Fraction(-13, 29) * (cayley_closed(kind, 12) if kind in (FIBONACCI, LUCAS) else g(12) * g(3))
+        + Fraction(17, 31),
+    ]
+    cases = fixed + [_wide_poly(rng, max_var) for _ in range(60)]
+    for p in cases:
+        got = d(p)
+        assert got == leibniz_reference(d, p), p
+        _assert_canonical(got)
+    for p in cases[len(fixed):][:8]:
+        expected = p
+        for k in range(1, 5):
+            expected = leibniz_reference(d, expected)
+            got = d.power(p, k)
+            assert got == expected, (p, k)
+            _assert_canonical(got)

@@ -6,11 +6,12 @@ import pytest
 
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
-from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
+from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, _MAX_SUBST_DEGREE, cayley_closed
 from fiblucas.families import family_poly
 from fiblucas.identity import (
     IdentityReport,
     _pack,
+    _subst_degree,
     _unpack,
     conjecture_scan,
     discriminant_demo,
@@ -114,6 +115,26 @@ def test_phi_and_scan_size_limits():
         phi_subst("fibonacci", g(_MAX_FAMILY_INDEX + 1))
     with pytest.raises(ValueError, match="limited to n <= "):
         conjecture_scan("lucas", _MAX_CAYLEY_N + 1)
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_phi_substituted_degree_limit(family):
+    top = _MAX_SUBST_DEGREE
+    # the bound is the exact degree of a single monomial's image
+    rng = random.Random(f"degree-{family}")
+    for _ in range(30):
+        exps = {v: rng.randint(1, 3) for v in rng.sample([X, 1, 2, 3, 7, 12], rng.randint(0, 3))}
+        mono = Poly.term(1, exps)
+        assert phi_subst(family, mono).degree() == _subst_degree(family, mono), exps
+    # every Cayley element and the largest generator stay inside the limit
+    c = cayley_closed(family, _MAX_CAYLEY_N)
+    assert _subst_degree(family, c) <= top
+    assert phi_subst(family, c).is_constant()
+    assert _subst_degree(family, g(_MAX_FAMILY_INDEX)) <= top
+    assert phi_subst(family, Poly.term(1, {X: top})).degree() == top
+    for p in (Poly.term(1, {X: top + 1}), g(150) ** 40, g(3) * g(1000)):
+        with pytest.raises(ValueError, match=f"degree limit {top}"):
+            phi_subst(family, p)
 
 
 def test_phi_rejects_unknown_family():

@@ -15,6 +15,7 @@ from fiblucas.intertwine import (
     ROUTE_SERIES,
     ROUTES,
     LinearSubstitution,
+    _MAX_INTERTWINE_N,
     _MEMO_SIZE,
     _b_coeffs,
     _beta_rows,
@@ -270,6 +271,21 @@ def test_alpha_boundary_condition():
 def test_alpha_first_coefficient_values():
     assert alpha(AL, 3, 1) == 3  # the x_3 -> x_3 + 3 x_1 image
     assert alpha(AF, 3, 1) == 1
+
+
+def test_table_size_limit():
+    top = _MAX_INTERTWINE_N
+    assert len(alpha_rows(AF, top // 2, top, ROUTE_RECURRENCE)[-1]) == top + 1
+    assert len(alpha_rows(AL, 1, top, ROUTE_SERIES)[1]) == top + 1
+    for route in ROUTES:
+        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
+            alpha_rows(AL, 1, top + 1, route)
+        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
+            alpha_rows(AF, top // 2 + 1, 0, route)
+        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
+            psi(AL, top + 1, route)
+    # the benchmark's intertwine size stays inside the limit
+    assert top >= 48
 
 
 def test_alpha_argument_validation():

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_fraction, random_poly, random_x_poly
-from fiblucas.polyring import Poly, PolyMatrix, X, divide_by_generator
+from fiblucas.polyring import Poly, PolyMatrix, X, divide_by_generator, mono_from_exps, mono_mul
 
 
 def g(n):
@@ -281,3 +281,20 @@ def test_coefficient_lookup_and_degrees():
     rng = random.Random(5)
     q = random_fraction(rng)
     assert Poly.constant(q).constant_value() == q
+
+
+def test_mono_mul_matches_merged_exponents():
+    # x (id X = -1) sorts last in a canonical monomial, after every generator
+    rng = random.Random(13)
+    fixed = [(), ((X, 2),), ((0, 1),), ((0, 1), (3, 2), (X, 1))]
+    monos = fixed + [
+        mono_from_exps({v: rng.randint(1, 4) for v in rng.sample([X, 0, 1, 2, 5, 9, 11], rng.randint(0, 4))})
+        for _ in range(40)
+    ]
+    for a in monos:
+        for b in monos:
+            merged = dict(a)
+            for v, e in b:
+                merged[v] = merged.get(v, 0) + e
+            assert mono_mul(a, b) == mono_from_exps(merged), (a, b)
+    assert mono_mul(((X, 1),), ((2, 1), (7, 3))) == ((2, 1), (7, 3), (X, 1))
