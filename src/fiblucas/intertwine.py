@@ -42,13 +42,24 @@ Bessel-type series (beta_i^(s) = (-1)^{s-i} b_i / (s-i)!):
 
     AL:  sum b_s z^s = 1 / J_0(2 sqrt z)
     AF:  sum b_s z^s = sqrt z / J_1(2 sqrt z)
+
+Every alpha_n^(s) is an integer, and the beta and series routes check
+it cell by cell.  Either route supplies the row beta_i^(s) over its lcm
+denominator den, as integer numerators B_i.  A cell is then summed in
+ints: the first falling factorial n^{falling a} (a = s for AL, s-1 for
+AF) comes from falling_factorial, each next one from the last by a
+factor n-a-i, and the AF lead n-2s+1 multiplies the sum.  The sum is
+divided by den exactly; a nonzero remainder is an internal error
+(ArithmeticError, not ValueError), never a result.  The recurrence
+route keeps its Fraction arithmetic, so its tables hold Fractions where
+the other two hold ints; they compare by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .derivops import Derivation
@@ -81,20 +92,27 @@ ROUTE_BETA = "beta"
 ROUTE_SERIES = "series"
 ROUTES = (ROUTE_RECURRENCE, ROUTE_BETA, ROUTE_SERIES)
 
-# Bound on each table memo: scalar alpha calls still key one recurrence
-# table per (s, max(n, 2s)).
+# Bound on each table memo: scalar alpha calls key one table per (kind, s).
 _MEMO_SIZE = 32
-# Size limit on the tables, rejected up front rather than run for
-# minutes: `intertwine --max 100 --route all` takes about 4 s on CPython
-# 3.11 and a 2-vCPU x86-64 VM, and --max 200 about 46 s.
+# Size limit on every table, scalar entry points included, rejected up
+# front rather than run for minutes: n <= 100 and 2s <= 100.
+# `intertwine --max 100 --route all` takes about 0.6 s for either kind
+# on CPython 3.11 and a 2-vCPU x86-64 VM.
 _MAX_INTERTWINE_N = 100
 
 
-def _check_kind(kind: str, route: str = ROUTE_BETA) -> None:
+def _check_args(kind: str, route: str = ROUTE_BETA, n: int = 0, s: int = 0) -> None:
+    """Validate kind and route, and the size limit that every entry
+    point goes through: n <= _MAX_INTERTWINE_N and 2s <= _MAX_INTERTWINE_N."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be {AL!r} or {AF!r}, got {kind!r}")
     if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
+    if max(n, 2 * s) > _MAX_INTERTWINE_N:
+        raise ValueError(
+            f"intertwining tables are limited to n <= {_MAX_INTERTWINE_N} and "
+            f"s <= {_MAX_INTERTWINE_N // 2}, got n = {n}, s = {s}"
+        )
 
 
 def solve_recurrence_al(
@@ -149,10 +167,10 @@ def _b_coeffs(kind: str, count: int) -> tuple[Fraction, ...]:
 
 def b_sequence(kind: str, count: int) -> list[Fraction]:
     """First ``count`` coefficients of the reciprocal Bessel-type series
-    (b_0 = 1 in both kinds)."""
-    _check_kind(kind)
+    (b_0 = 1 in both kinds): b_s for s < count."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_args(kind, s=count - 1)
     return list(_b_coeffs(kind, count))
 
 
@@ -171,17 +189,6 @@ def _beta_rows(kind: str, s_max: int) -> tuple[tuple[Fraction, ...], ...]:
         row.append(b_s)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _alpha_from_beta(
-    kind: str, beta_row: Sequence[Fraction], n: int, s: int
-) -> Fraction:
-    shift, lead = (0, 1) if kind == AL else (-1, n - 2 * s + 1)
-    total = sum(
-        (beta_row[i] * falling_factorial(n, s + shift + i) for i in range(s + 1)),
-        Fraction(0),
-    )
-    return lead * total
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -213,49 +220,69 @@ def _recurrence_rows(
     return tuple(rows)
 
 
-def _beta_row(kind: str, route: str, s: int, s_max: int) -> tuple[Fraction, ...]:
-    """beta_i^(s), i = 0..s, by the beta or series route, read from the
+def _beta_row(kind: str, route: str, s: int, s_max: int) -> tuple[list[int], int]:
+    """beta_i^(s), i = 0..s, by the beta or series route, as integer
+    numerators over their lcm denominator: (B_i, den).  Read from the
     memo sized for s_max (its first rows do not depend on s_max)."""
     if route == ROUTE_BETA:
-        return _beta_rows(kind, s_max)[s]
-    b = _b_coeffs(kind, s_max + 1)
-    return tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
+        row = _beta_rows(kind, s_max)[s]
+    else:
+        b = _b_coeffs(kind, s_max + 1)
+        row = [(-1) ** (s - i) * b[i] / factorial(s - i) for i in range(s + 1)]
+    den = lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def _alpha_from_beta(kind: str, row: tuple[list[int], int], n: int, s: int) -> int:
+    """alpha_n^(s) from the integer row (B_i, den) of _beta_row; the one
+    cell evaluator of the beta and series routes."""
+    nums, den = row
+    a = s if kind == AL else s - 1
+    f = falling_factorial(n, a)
+    total = 0
+    for i, b in enumerate(nums):
+        total += b * f
+        f *= n - a - i
+    if kind == AF:
+        total *= n - 2 * s + 1
+    value, rem = divmod(total, den)
+    if rem:
+        raise ArithmeticError(
+            f"{kind} alpha_{n}^({s}) = {total}/{den} is not an integer"
+        )
+    return value
 
 
 def alpha_rows(
     kind: str, s_max: int, n_max: int, route: str = ROUTE_BETA
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> tuple[tuple[int | Fraction, ...], ...]:
     """alpha_n^(s) by one route as rows[s][n]: s = 0..s_max (row 0 is all
-    ones), n = 0..max(n_max, 2*s_max); no route reads another's table."""
-    _check_kind(kind, route)
+    ones), n = 0..max(n_max, 2*s_max); no route reads another's table.
+    The beta and series tables hold ints, the recurrence table Fractions."""
     if s_max < 0 or n_max < 0:
         raise ValueError("s_max and n_max must be >= 0")
-    n_eff = max(n_max, 2 * s_max)
-    if n_eff > _MAX_INTERTWINE_N:
-        raise ValueError(
-            f"intertwining tables are limited to n <= {_MAX_INTERTWINE_N}, got n = {n_eff}"
-        )
+    _check_args(kind, route, n_max, s_max)
     if route == ROUTE_RECURRENCE:
         return _recurrence_rows(kind, s_max, n_max)
-    columns = range(n_eff + 1)
-    rows = [tuple(Fraction(1) for _ in columns)]
+    columns = range(max(n_max, 2 * s_max) + 1)
+    rows = [(1,) * len(columns)]
     for s in range(1, s_max + 1):
         beta = _beta_row(kind, route, s, s_max)
         rows.append(tuple(_alpha_from_beta(kind, beta, n, s) for n in columns))
     return tuple(rows)
 
 
-def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> Fraction:
+def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> int | Fraction:
     """The intertwining coefficient alpha_n^(s) by the requested route;
     the beta and series routes evaluate the one cell, the recurrence
-    route reads its table."""
+    route reads the table of s sized to the limit."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_kind(kind, route)
+    _check_args(kind, route, n, s)
     if route == ROUTE_RECURRENCE:
-        return _recurrence_rows(kind, s, n)[s][n]
+        return _recurrence_rows(kind, s, _MAX_INTERTWINE_N)[s][n]
     return _alpha_from_beta(kind, _beta_row(kind, route, s, s), n, s)
 
 
@@ -303,12 +330,11 @@ def psi(kind: str, n_max: int, route: str = ROUTE_BETA) -> LinearSubstitution:
     images: dict[int, Poly] = {}
     for n in range(n_max + 1):
         lead = n if kind == AL else n + 1
-        p = Poly.gen(lead)
-        for s in range(1, (n - 1) // 2 + 1):
-            c = rows[s][n]
-            if c:
-                p = p + c * Poly.gen(lead - 2 * s)
-        images[n] = p
+        # ((v, 1),) is the monomial x_v; from_terms drops zero coefficients
+        images[n] = Poly.from_terms(
+            [(((lead, 1),), 1)]
+            + [(((lead - 2 * s, 1),), rows[s][n]) for s in range(1, (n - 1) // 2 + 1)]
+        )
     return LinearSubstitution(images)
 
 

@@ -18,6 +18,7 @@ distinguished x always last), larger exponent first.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -405,10 +406,18 @@ class Poly:
             var_name(v)
             for v in sorted(self.variables(), key=_var_key)
         ]
-        terms = [
-            {"coeff": str(c), "exps": {var_name(v): e for v, e in m}}
-            for m, c in self.sorted_terms()
-        ]
+        try:
+            terms = [
+                {"coeff": str(c), "exps": {var_name(v): e for v, e in m}}
+                for m, c in self.sorted_terms()
+            ]
+        except ValueError:
+            # str() refuses ints longer than the interpreter's digit
+            # limit, and Fraction() would refuse to read them back
+            raise ValueError(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                "decimal digits, the limit on JSON coefficients"
+            ) from None
         return {"vars": names, "terms": terms}
 
     @classmethod

@@ -212,6 +212,19 @@ def test_size_limits_exit_two(tmp_path, capsys):
     assert f"limited to n <= {_MAX_INTERTWINE_N}" in err
 
 
+def test_coefficient_over_digit_limit_names_the_limit(tmp_path, capsys):
+    # D^3000(x2^3000) has the coefficient 3000!, longer than str() of an
+    # int may write; the error is ours and names the limit
+    path = poly_file(tmp_path, g(2) ** 3000)
+    code, out, err = run(capsys, "derive", "--family", "fib", "--input", path, "--power", "3000")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: a coefficient has more than {limit} decimal digits, "
+        "the limit on JSON coefficients\n"
+    )
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), ZeroDivisionError("division by zero")])
 def test_crash_exits_three(capsys, monkeypatch, exc):
     # a crash is neither "not verified" (1) nor a usage error (2)

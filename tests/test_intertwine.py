@@ -1,12 +1,13 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from fiblucas import intertwine
+from fiblucas import cli, intertwine
 from fiblucas.derivops import Derivation
-from fiblucas.exactnum import binomial
+from fiblucas.exactnum import binomial, falling_factorial
 from fiblucas.intertwine import (
     AF,
     AL,
@@ -234,15 +235,23 @@ def test_alpha_rows_identical_across_routes(n_max):
         # every column n = 0..max(n_max, 2 s_max), the n < s ones included
         assert all(len(row) == max(n_max, 2 * s_max) + 1 for row in tables[0])
         assert tables[0][0] == (1,) * len(tables[0][0])
+        # the beta and series tables hold ints, which compare by value
+        # with the recurrence route's Fractions
+        assert all(type(v) is int for t in tables[1:] for row in t for v in row)
         assert tables[0] == tables[1] == tables[2], kind
 
 
 def test_table_memos_stay_bounded():
-    # scalar alpha keys one recurrence table per (s, max(n, 2s))
-    for route in ROUTES:
-        for s in range(1, 7):
-            for n in range(81):
-                alpha(AL, n, s, route)
+    # scalar alpha keys one table per (kind, s) on every route: these
+    # 972 recurrence calls leave at most 6 recurrence tables per kind
+    for memo in (_recurrence_rows, _beta_rows, _b_coeffs):
+        memo.cache_clear()
+    for count, kind in enumerate((AL, AF), 1):
+        for route in ROUTES:
+            for s in range(1, 7):
+                for n in range(81):
+                    alpha(kind, n, s, route)
+        assert _recurrence_rows.cache_info().currsize <= 6 * count
     for memo in (_recurrence_rows, _beta_rows, _b_coeffs):
         assert memo.cache_info().currsize <= _MEMO_SIZE
 
@@ -274,16 +283,28 @@ def test_alpha_first_coefficient_values():
 
 
 def test_table_size_limit():
+    # every entry point takes the limit and rejects one past it
     top = _MAX_INTERTWINE_N
+    limited = f"limited to n <= {top} and s <= {top // 2}"
     assert len(alpha_rows(AF, top // 2, top, ROUTE_RECURRENCE)[-1]) == top + 1
     assert len(alpha_rows(AL, 1, top, ROUTE_SERIES)[1]) == top + 1
+    for kind in (AL, AF):
+        assert len(b_sequence(kind, top // 2 + 1)) == top // 2 + 1
+        with pytest.raises(ValueError, match=limited):
+            b_sequence(kind, top // 2 + 2)
     for route in ROUTES:
-        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
-            alpha_rows(AL, 1, top + 1, route)
-        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
-            alpha_rows(AF, top // 2 + 1, 0, route)
-        with pytest.raises(ValueError, match=f"limited to n <= {top}"):
-            psi(AL, top + 1, route)
+        assert alpha(AL, top, top // 2, route) == 0  # the boundary n = 2s
+        assert alpha(AF, top, 1, route) == AF_FORMULAS[1](top)
+        assert psi(AF, top, route).defined_range() == list(range(top + 1))
+        for bad in (
+            lambda: alpha_rows(AL, 1, top + 1, route),
+            lambda: alpha_rows(AF, top // 2 + 1, 0, route),
+            lambda: alpha(AF, top + 1, 1, route),
+            lambda: alpha(AL, 0, top // 2 + 1, route),
+            lambda: psi(AL, top + 1, route),
+        ):
+            with pytest.raises(ValueError, match=limited):
+                bad()
     # the benchmark's intertwine size stays inside the limit
     assert top >= 48
 
@@ -302,6 +323,113 @@ def test_alpha_argument_validation():
             alpha_rows(AL, -1, 4, route)
         with pytest.raises(ValueError):
             alpha_rows(AL, 2, -1, route)
+
+
+# ---- the integer kernel against the Fraction reference -----------------
+
+
+def _fraction_rows(kind, route, s_max):
+    """beta_i^(s) as Fractions for s = 0..s_max, read from the route's memo."""
+    if route == ROUTE_BETA:
+        return _beta_rows(kind, s_max)
+    b = _b_coeffs(kind, s_max + 1)
+    return tuple(
+        tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
+        for s in range(s_max + 1)
+    )
+
+
+def _fraction_alpha(kind, beta_row, n, s):
+    """alpha_n^(s) as the Fraction sum of beta_i^(s) n^{falling a+i}: the
+    evaluation the integer kernel replaced, kept as its reference."""
+    shift, lead = (0, 1) if kind == AL else (-1, n - 2 * s + 1)
+    total = sum(
+        (beta_row[i] * falling_factorial(n, s + shift + i) for i in range(s + 1)),
+        Fraction(0),
+    )
+    return lead * total
+
+
+@pytest.mark.parametrize("route", [ROUTE_BETA, ROUTE_SERIES])
+@pytest.mark.parametrize("kind", [AL, AF])
+def test_integer_tables_match_fraction_reference(kind, route):
+    # every cell the size limit allows
+    top = _MAX_INTERTWINE_N
+    beta = _fraction_rows(kind, route, top // 2)
+    table = alpha_rows(kind, top // 2, top, route)
+    for s in range(1, top // 2 + 1):
+        for n in range(top + 1):
+            assert table[s][n] == _fraction_alpha(kind, beta[s], n, s), (kind, route, s, n)
+
+
+def test_scalar_alpha_matches_fraction_reference():
+    rng = random.Random(2012)
+    top = _MAX_INTERTWINE_N
+    rows = {
+        (kind, route): _fraction_rows(kind, route, top // 2)
+        for kind in (AL, AF)
+        for route in (ROUTE_BETA, ROUTE_SERIES)
+    }
+    for _ in range(200):
+        kind, route = rng.choice(sorted(rows))
+        s, n = rng.randint(1, top // 2), rng.randint(0, top)
+        expected = _fraction_alpha(kind, rows[kind, route][s], n, s)
+        assert alpha(kind, n, s, route) == expected, (kind, route, s, n)
+
+
+def test_one_falling_factorial_per_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        intertwine, "falling_factorial", lambda n, a: calls.append(n) or falling_factorial(n, a)
+    )
+    table = alpha_rows(AL, 23, 48, ROUTE_BETA)
+    assert 0 < len(calls) <= 23 * 49  # rows s = 1..23, columns n = 0..48
+    assert table == alpha_rows(AL, 23, 48, ROUTE_RECURRENCE)
+
+
+def _perturbed(memo, edit):
+    """A stand-in for a row memo whose result ``edit`` changes in a copy."""
+
+    def rows(kind, size):
+        out = list(memo(kind, size))
+        edit(out)
+        return tuple(out)
+
+    return rows
+
+
+def _off_integer(rows):
+    # beta_0^(2) + 1/p, for a prime p above every n in the tables, makes
+    # row 2 non-integral wherever the added term is nonzero
+    rows[2] = (rows[2][0] + Fraction(1, 1000003), *rows[2][1:])
+
+
+def test_non_integer_cell_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(intertwine, "_beta_rows", _perturbed(_beta_rows, _off_integer))
+    for kind in (AL, AF):
+        with pytest.raises(ArithmeticError, match="not an integer") as exc:
+            alpha_rows(kind, 3, 10)
+        assert not isinstance(exc.value, ValueError)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            alpha(kind, 7, 2)
+        # a crash, never a usage error (2) or a failed verification (1)
+        code = cli.main(["intertwine", "--kind", kind, "--max", "10", "--route", "beta"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert "internal error: ArithmeticError" in err
+
+
+@pytest.mark.parametrize("kind", [AL, AF])
+def test_route_all_reports_a_perturbed_route(monkeypatch, capsys, kind):
+    # one more on the last b_s moves only the series table's last row,
+    # by an integer, so psi (beta route) still intertwines
+    def last_plus_one(b):
+        b[-1] += 1
+
+    monkeypatch.setattr(intertwine, "_b_coeffs", _perturbed(_b_coeffs, last_plus_one))
+    code = cli.main(["intertwine", "--kind", kind, "--max", "10", "--route", "all"])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["ok"], doc["routes_agree"]) == (1, True, False)
 
 
 # ---- substitutions and the intertwining check ----------------------------
