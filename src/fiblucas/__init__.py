@@ -10,7 +10,6 @@ exact rational arithmetic end to end.
 """
 
 from .exactnum import (
-    Rational,
     TruncatedSeries,
     bessel_j0_series,
     bessel_j1_series,
@@ -61,7 +60,6 @@ from .identity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "TruncatedSeries",
     "bessel_j0_series",
     "bessel_j1_series",

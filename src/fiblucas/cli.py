@@ -96,11 +96,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_cayley(args) -> int:
-    if args.route == "closed":
-        _print_json(cayley_closed(_FAMILY[args.family], args.n).to_json())
-        return 0
-    if args.route == "constructive":
-        _print_json(cayley_constructive(_FAMILY[args.family], args.n).to_json())
+    if args.route != "both":
+        build = cayley_closed if args.route == "closed" else cayley_constructive
+        _print_json(build(_FAMILY[args.family], args.n).to_json())
         return 0
     closed = cayley_closed(_FAMILY[args.family], args.n)
     constructive = cayley_constructive(_FAMILY[args.family], args.n)
@@ -153,9 +151,11 @@ def _cmd_intertwine(args) -> int:
     routes_agree = True
     if args.route == "all":
         s_top = max(1, (args.max - 1) // 2)
-        tables = {intertwine.alpha_rows(args.kind, s_top, args.max, r) for r in intertwine.ROUTES}
-        routes_agree = len(tables) == 1
-        sub = intertwine.psi(args.kind, args.max)
+        tables = [intertwine.alpha_rows(args.kind, s_top, args.max, r) for r in intertwine.ROUTES]
+        routes_agree = len(set(tables)) == 1
+        # psi's images from the beta table already built, as psi would
+        beta = tables[intertwine.ROUTES.index(intertwine.ROUTE_BETA)]
+        sub = intertwine._psi_from_rows(args.kind, args.max, beta)
     else:
         sub = intertwine.psi(args.kind, args.max, route=args.route)
     from_d = Derivation.appell()

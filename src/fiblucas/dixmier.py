@@ -30,18 +30,23 @@ for lucas) and D^0(x_n) = x_n, instead of iterating D:
 with h = x_2, g = x_1, t = n-2 (fibonacci, n >= 3) and h = x_1,
 g = x_0, t = n-1 (lucas, n >= 2; C_1 = x_0 is the degenerate case).
 At k = t+1 the only subscript is g's own, so every g exponent is >= 0.
+
+Both routes sum integer numerators per monomial, with one Fraction per
+surviving term at the end.  In the closed route (k-1)! cancels against
+k!, so the k-th term has denominator k and all are scaled by
+L = lcm(1..t+1); the constructive route scales its weights likewise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .derivops import Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS
-from .polyring import Poly, divide_by_generator, mono_from_exps, var_name
+from .polyring import Mono, Poly, mono_mul, mul_into, var_name
 
 __all__ = [
     "closed_power_on_generator",
@@ -57,8 +62,8 @@ __all__ = [
 _NILPOTENCY_CAP = 512  # iterations before giving up on termination
 # Size limits, rejected up front rather than run for minutes.  C_n has
 # about n^2/4 terms.  At the limits, on CPython 3.11 and a 2-vCPU x86-64
-# VM, `cayley --route both` takes about 2 s, `scan` about 7 s, and
-# `identity` on x_1000 about 4 s, nearly all of it building the family
+# VM, `cayley --route both` takes about 0.6 s, `scan` about 4.5 s, and
+# `identity` on x_1000 about 3 s, nearly all of it building the family
 # polynomial.  C_n uses generators up to x_n, so every Cayley element
 # stays within the index limit that identity.phi_subst enforces, and
 # within its degree limit: the substituted C_n has degree at most n.
@@ -94,24 +99,8 @@ class LocalizedPoly:
     def __str__(self) -> str:
         if self.denom_power == 0:
             return str(self.numerator)
-        denom = var_name(self.denom_var)
-        if self.denom_power > 1:
-            denom = f"{denom}^{self.denom_power}"
-        return f"({self.numerator}) / {denom}"
-
-
-def _single_generator_term(p: Poly) -> tuple[Fraction, int] | None:
-    """Decompose p as c * x_j (exponent exactly one), else None."""
-    terms = list(p.items())
-    if len(terms) != 1:
-        return None
-    (mono, c) = terms[0]
-    if len(mono) != 1:
-        return None
-    (v, e) = mono[0]
-    if e != 1 or v < 0:
-        return None
-    return c, v
+        power = f"^{self.denom_power}" if self.denom_power > 1 else ""
+        return f"({self.numerator}) / {var_name(self.denom_var)}{power}"
 
 
 def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
@@ -119,14 +108,16 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
 
     Returned over a minimal power of the slice's denominator generator.
     Requires the slice invariant (D(h) = image != 0, D(image) = 0) and
-    an image that is a rational multiple of a single generator.
+    an image c * x_j, a rational multiple of a single generator.  With
+    D^k(x_n) = P_k/den_k and h = H/hden, x_j^kmax times the k-th term is
+    P_k (-H)^k x_j^(kmax-k) / (k! (c hden)^k den_k), summed in ints.
     """
     if s.image.is_zero() or d(s.h) != s.image or not d(s.image).is_zero():
         raise ValueError("slice invariant violated: need D(h) = image != 0 and D(image) = 0")
-    decomp = _single_generator_term(s.image)
-    if decomp is None:
+    terms = list(s.image.items())
+    if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][0][0][1] != 1:
         raise ValueError("slice image must be a rational multiple of a single generator")
-    c, j = decomp
+    (((j, _),), c) = terms[0]
 
     powers = [Poly.gen(n)]
     while not powers[-1].is_zero():
@@ -135,39 +126,45 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
         powers.append(d(powers[-1]))
     kmax = len(powers) - 2  # last nonzero index
 
-    neg_h = -s.h
-    xj = Poly.gen(j)
-    num = Poly.zero()
+    # the weights 1/(k! (c hden)^k den_k) go over one common denominator
+    neg_h, hden = (-s.h).numerators()
+    numerators, weights, weight = [], [], Fraction(1)
     for k in range(kmax + 1):
-        scale = Fraction(1, factorial(k)) / (c ** k)
-        num = num + scale * powers[k] * neg_h ** k * xj ** (kmax - k)
+        if k:
+            weight /= k * c * hden
+        nums, den_k = powers[k].numerators()
+        numerators.append(nums)
+        weights.append(weight / den_k)
+    den = lcm(*(w.denominator for w in weights))
+    acc: dict[Mono, int] = {}
+    h_power: dict[Mono, int] = {(): 1}  # (-H)^k
+    for k in range(kmax + 1):
+        if k:
+            h_power = mul_into({}, h_power.items(), neg_h)
+        scale = weights[k].numerator * (den // weights[k].denominator)
+        shift = ((j, kmax - k),) if k < kmax else ()
+        mul_into(acc, numerators[k], [(mono_mul(m, shift), scale * b) for m, b in h_power.items()])
 
-    power = kmax
-    while power > 0:
-        reduced = divide_by_generator(num, j)
-        if reduced is None:
-            break
-        num = reduced
-        power -= 1
-    return LocalizedPoly(num, j, power)
+    # strip the power of x_j that divides every term, at most kmax, in one pass
+    strip = min(kmax, min((dict(m).get(j, 0) for m in acc), default=kmax))
+    numerator = Poly._make({
+        tuple((v, e - strip) if v == j else (v, e) for v, e in m if v != j or e > strip):
+        Fraction(t, den)
+        for m, t in acc.items()
+    })
+    return LocalizedPoly(numerator, j, kmax - strip)
 
 
 def _closed_power_terms(kind: str, n: int, k: int):
-    """(subscript, integer coefficient) pairs of D^k(x_n), k >= 0."""
-    if k == 0:
-        yield n, 1
-        return
+    """(subscript, integer coefficient) pairs of D^k(x_n) / (k-1)!, k >= 1."""
     lowest = 1 if kind == FIBONACCI else 0
-    pref = factorial(k - 1) * (n if kind == LUCAS else 1)
+    pref = n if kind == LUCAS else 1
+    a, b = 1, binomial(n - 1, k - 1)  # C(i+k-1, k-1) and C(n-i-1, k-1), updated with i
     for i in range((n - k - lowest) // 2 + 1):
+        if i:
+            a, b = a * (i + k - 1) // i, b * (n - i - k + 1) // (n - i)
         sub = n - k - 2 * i
-        coeff = (
-            pref
-            * (-1) ** i
-            * (sub if kind == FIBONACCI else 1)
-            * binomial(i + k - 1, k - 1)
-            * binomial(n - i - 1, k - 1)
-        )
+        coeff = pref * (-1) ** i * (sub if kind == FIBONACCI else 1) * a * b
         if coeff:
             yield sub, coeff
 
@@ -180,18 +177,17 @@ def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
         raise ValueError("closed power formula needs k >= 1")
     if n < 0:
         raise ValueError("generator index must be >= 0")
-    return Poly.from_terms((((sub, 1),), c) for sub, c in _closed_power_terms(kind, n, k))
+    return Poly.from_terms(
+        (((sub, 1),), factorial(k - 1) * c) for sub, c in _closed_power_terms(kind, n, k)
+    )
 
 
 def _check_cayley_args(kind: str, n: int) -> None:
-    if kind == FIBONACCI:
-        if n < 3:
-            raise ValueError("fibonacci Cayley elements start at n = 3")
-    elif kind == LUCAS:
-        if n < 1:
-            raise ValueError("lucas Cayley elements start at n = 1")
-    else:
+    first = {FIBONACCI: 3, LUCAS: 1}.get(kind)
+    if first is None:
         raise ValueError(f"Cayley elements exist for fibonacci or lucas, got {kind!r}")
+    if n < first:
+        raise ValueError(f"{kind} Cayley elements start at n = {first}")
     if n > _MAX_CAYLEY_N:
         raise ValueError(f"Cayley elements are limited to n <= {_MAX_CAYLEY_N}, got n = {n}")
 
@@ -203,33 +199,32 @@ def cayley_closed(kind: str, n: int) -> Poly:
         return Poly.gen(0)
     h, g = (2, 1) if kind == FIBONACCI else (1, 0)
     t = n - h  # n-2 (fibonacci), n-1 (lucas)
-    terms = []
-    for k in range(t + 2):
-        scale = Fraction((-1) ** k, factorial(k))
+    scale = lcm(*range(1, t + 2))  # L
+    # canonical monomials x_g^(t-k) x_h^k x_sub, written as tuples; only a
+    # subscript g or h can meet another term's monomial
+    acc = {((g, t), (n, 1)): scale}  # k = 0: x_n g^t
+    for k in range(1, t + 2):
+        step = (-1) ** k * (scale // k)
+        base = ((g, t - k), (h, k))  # sub > h only occurs for k < t
         for sub, c in _closed_power_terms(kind, n, k):
-            exps = {h: k, g: t - k}
-            exps[sub] = exps.get(sub, 0) + 1
-            terms.append((mono_from_exps(exps), scale * c))
-    return Poly.from_terms(terms)
+            if sub > h:
+                acc[base + ((sub, 1),)] = step * c
+            else:
+                eg, eh = t - k + (sub == g), k + (sub == h)
+                m = ((g, eg), (h, eh)) if eg else ((h, eh),)
+                acc[m] = acc.get(m, 0) + step * c
+    return Poly._make({m: Fraction(s, scale) for m, s in acc.items() if s})
 
 
 def cayley_constructive(kind: str, n: int) -> Poly:
-    """C_n built by clearing denominators of sigma(x_n).
-
-    Multiplies by the fixed normalization x_1^{n-2} (fibonacci) or
-    x_0^{n-1} (lucas) so the result matches cayley_closed exactly.
-    """
+    """C_n as the numerator of sigma(x_n), whose denominator is exactly
+    the normalization x_1^{n-2} (fibonacci) or x_0^{n-1} (lucas)."""
     _check_cayley_args(kind, n)
-    if kind == FIBONACCI:
-        sig = dixmier_sigma(Derivation.fibonacci(), fibonacci_slice(), n)
-        target = n - 2
-    else:
-        if n == 1:
-            return Poly.gen(0)  # sigma(x_1) degenerates to 0
-        sig = dixmier_sigma(Derivation.lucas(), lucas_slice(), n)
-        target = n - 1
-    if sig.denom_power > target:
-        raise ValueError(
-            f"sigma denominator x{sig.denom_var}^{sig.denom_power} exceeds normalization {target}"
-        )
-    return sig.numerator * Poly.gen(sig.denom_var) ** (target - sig.denom_power)
+    if kind == LUCAS and n == 1:
+        return Poly.gen(0)  # sigma(x_1) degenerates to 0
+    s = fibonacci_slice() if kind == FIBONACCI else lucas_slice()
+    sig = dixmier_sigma(Derivation(kind), s, n)
+    target = n - 2 if kind == FIBONACCI else n - 1
+    if sig.denom_power != target:
+        raise ArithmeticError(f"sigma(x{n}) has denominator power {sig.denom_power}, not {target}")
+    return sig.numerator

@@ -13,10 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "binomial",
     "falling_factorial",
     "TruncatedSeries",

@@ -28,6 +28,7 @@ __all__ = [
     "LUCAS",
     "APPELL",
     "family_poly",
+    "derivative_terms",
     "derivative_rhs",
     "verify_derivative_formula",
     "generating_function_coeffs",
@@ -64,22 +65,28 @@ def family_poly(kind: str, n: int) -> Poly:
     return x * family_poly(kind, n - 1) + family_poly(kind, n - 2)
 
 
-def derivative_rhs(kind: str, n: int) -> Poly:
-    """Right-hand side of the closed derivative identity.
+def derivative_terms(kind: str, n: int) -> list[tuple[int, int]]:
+    """(i, c) pairs of the closed derivative identity d/dx P_n = sum c P_i,
+    which also gives the built-in derivation images D(x_n) = sum c x_i.
+    With i = n-1-2k for k = 0..floor((n-1)/2):
 
-        d/dx F_n = sum_{k=0..floor((n-1)/2)} (-1)^k (n-1-2k) F_{n-1-2k}
-        d/dx L_n = n * sum_{k=0..floor((n-1)/2)} (-1)^k L_{n-1-2k}
+        fibonacci: c = (-1)^k (n-1-2k)    lucas: c = (-1)^k n
+        appell:    c = n, i = n-1 only
     """
+    if kind == APPELL:
+        return [(n - 1, n)] if n else []
+    return [
+        (i, (-1) ** k * (i if kind == FIBONACCI else n))
+        for k, i in enumerate(range(n - 1, -1, -2))
+    ]
+
+
+def derivative_rhs(kind: str, n: int) -> Poly:
+    """Right-hand side sum c P_i of the closed derivative identity."""
     _check_kind(kind, (FIBONACCI, LUCAS))
     if n < 1:
         raise ValueError("derivative identity needs n >= 1")
-    out = Poly.zero()
-    for k in range((n - 1) // 2 + 1):
-        sub = n - 1 - 2 * k
-        coeff = (-1) ** k * (sub if kind == FIBONACCI else n)
-        if coeff:
-            out = out + coeff * family_poly(kind, sub)
-    return out
+    return sum((c * family_poly(kind, i) for i, c in derivative_terms(kind, n)), Poly.zero())
 
 
 def verify_derivative_formula(kind: str, n: int) -> bool:

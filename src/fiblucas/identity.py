@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .derivops import Derivation, kernel_member
 from .dixmier import _MAX_FAMILY_INDEX, _MAX_SUBST_DEGREE, _check_cayley_args, cayley_closed
@@ -120,8 +120,7 @@ def phi_subst(family: str, p: Poly) -> Poly:
         )
     images = {v: family_poly(family, v) for v in gens}
     images[X] = Poly.x()
-    den = lcm(*(c.denominator for _, c in p.items()))
-    terms = [(m, c.numerator * (den // c.denominator)) for m, c in p.items()]
+    terms, den = p.numerators()
     norms = {v: sum(abs(c.numerator) for _, c in img.items()) for v, img in images.items()}
     b = _evaluate([(m, abs(c)) for m, c in terms], norms).bit_length() + 2
     total = _evaluate(terms, {v: _pack(img, b) for v, img in images.items()})
@@ -306,25 +305,9 @@ def poly_to_latex(p: Poly, family: str) -> str:
     def symbol(v: int) -> str:
         return "x" if v == X else f"{letter}_{{{v}}}(x)"
 
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for mono, c in p.sorted_terms():
-        body = "".join(
-            symbol(v) + (f"^{{{e}}}" if e > 1 else "") for v, e in mono
-        )
-        mag = abs(c)
-        if body and mag == 1:
-            txt = body
-        elif body:
-            txt = _fraction_latex(mag) + body
-        else:
-            txt = _fraction_latex(mag)
-        if not parts:
-            parts.append(txt if c > 0 else f"-{txt}")
-        else:
-            parts.append(f"+{txt}" if c > 0 else f"-{txt}")
-    return "".join(parts)
+    return p.render(
+        lambda v, e: symbol(v) + (f"^{{{e}}}" if e > 1 else ""), _fraction_latex, "", "+", "-"
+    )
 
 
 def emit(report: IdentityReport, fmt: str) -> str:

@@ -126,14 +126,7 @@ def solve_recurrence_al(
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    if n_max < a:
-        return []
-    out = [Fraction(0)]
-    acc = Fraction(0)
-    for n in range(a + 1, n_max + 1):
-        acc += Fraction(g[n - 1]) / falling_factorial(n - 1, a)
-        out.append(falling_factorial(n, a) * acc)
-    return out
+    return _solve_forward(a, n_max, lambda i: Fraction(g[i]) / falling_factorial(i, a))
 
 
 def solve_recurrence_af(
@@ -148,15 +141,18 @@ def solve_recurrence_af(
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    if n_max < s:
-        return []
-    out = [Fraction(0)]
-    acc = Fraction(0)
-    for n in range(s + 1, n_max + 1):
-        i = n - 1
-        acc += Fraction(g[i]) / (falling_factorial(i, s - 1) * (i - s + 3))
-        out.append(falling_factorial(n, s) * acc)
-    return out
+    return _solve_forward(
+        s, n_max, lambda i: Fraction(g[i]) / (falling_factorial(i, s - 1) * (i - s + 3))
+    )
+
+
+def _solve_forward(a: int, n_max: int, term) -> list[Fraction]:
+    """x_n = n^{falling a} * sum_{i=a..n-1} term(i) for n = a..n_max."""
+    out, acc = [Fraction(0)], Fraction(0)
+    for n in range(a + 1, n_max + 1):
+        acc += term(n - 1)
+        out.append(falling_factorial(n, a) * acc)
+    return out if n_max >= a else []
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -326,7 +322,11 @@ def psi(kind: str, n_max: int, route: str = ROUTE_BETA) -> LinearSubstitution:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = alpha_rows(kind, max(1, (n_max - 1) // 2), n_max, route)
+    return _psi_from_rows(kind, n_max, alpha_rows(kind, max(1, (n_max - 1) // 2), n_max, route))
+
+
+def _psi_from_rows(kind: str, n_max: int, rows) -> LinearSubstitution:
+    """psi from an alpha_rows table covering s <= (n_max-1)//2, n <= n_max."""
     images: dict[int, Poly] = {}
     for n in range(n_max + 1):
         lead = n if kind == AL else n + 1

@@ -18,9 +18,11 @@ distinguished x always last), larger exponent first.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import lcm
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "X",
@@ -29,6 +31,7 @@ __all__ = [
     "PolyMatrix",
     "mono_from_exps",
     "mono_mul",
+    "mul_into",
     "mono_decrement",
     "divide_by_generator",
 ]
@@ -84,6 +87,20 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     if items[0][0] == X:
         items.append(items.pop(0))
     return tuple(items)
+
+
+def mul_into(acc: dict, left: Iterable, right: Collection) -> dict:
+    """acc += left * right over (monomial, nonzero coefficient) pairs, dropping
+    sums that cancel; Poly.__mul__ and the integer-numerator kernels use it."""
+    for m1, a in left:
+        for m2, b in right:
+            m = mono_mul(m1, m2)
+            s = acc.get(m, 0) + a * b
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return acc
 
 
 def mono_decrement(m: Mono, v: int) -> Mono:
@@ -180,6 +197,11 @@ class Poly:
         """Iterate (monomial, coefficient) pairs in no particular order."""
         return iter(self._terms.items())
 
+    def numerators(self) -> tuple[list[tuple[Mono, int]], int]:
+        """(terms of den * self, den): integer numerators over the lcm den."""
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        return [(m, c.numerator * (den // c.denominator)) for m, c in self._terms.items()], den
+
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in the canonical (graded lexicographic) order."""
         return sorted(self._terms.items(), key=lambda mc: _mono_sort_key(mc[0]))
@@ -273,16 +295,7 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        acc: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in q._terms.items():
-                m = mono_mul(m1, m2)
-                nc = acc.get(m, Fraction(0)) + c1 * c2
-                if nc:
-                    acc[m] = nc
-                else:
-                    acc.pop(m, None)
-        return Poly._make(acc)
+        return Poly._make(mul_into({}, self._terms.items(), q._terms.items()))
 
     __rmul__ = __mul__
 
@@ -374,27 +387,29 @@ class Poly:
 
     # ---- rendering and serialization -----------------------------------
 
-    def __str__(self) -> str:
+    def render(self, factor, coeff, times: str, plus: str, minus: str) -> str:
+        """Terms in canonical order, signed by plus and minus: coeff(|c|) and
+        factor(v, e) per variable joined by times, a unit coefficient left out."""
         if not self._terms:
             return "0"
         parts: list[str] = []
         for m, c in self.sorted_terms():
-            factors = []
-            for v, e in m:
-                factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-            body = "*".join(factors)
+            body = times.join(factor(v, e) for v, e in m)
             mag = abs(c)
             if body and mag == 1:
                 txt = body
             elif body:
-                txt = f"{mag}*{body}"
+                txt = coeff(mag) + times + body
             else:
-                txt = str(mag)
-            if not parts:
-                parts.append(txt if c > 0 else f"-{txt}")
-            else:
-                parts.append(f" + {txt}" if c > 0 else f" - {txt}")
+                txt = coeff(mag)
+            parts.append((plus if c > 0 else minus) if parts else ("" if c > 0 else "-"))
+            parts.append(txt)
         return "".join(parts)
+
+    def __str__(self) -> str:
+        return self.render(
+            lambda v, e: var_name(v) + (f"^{e}" if e > 1 else ""), str, "*", " + ", " - "
+        )
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -440,7 +455,15 @@ class Poly:
             try:
                 c = Fraction(c)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad coefficient {c!r}") from exc
+                # quote at most 40 characters; name the digit limit if past it
+                shown = repr(c) if len(c) <= 40 else f"{c[:40]!r}... ({len(c)} characters)"
+                limit = sys.get_int_max_str_digits()
+                if limit and re.search(rf"\d{{{limit + 1}}}", c):
+                    raise ValueError(
+                        f"coefficient {shown} has more than {limit} decimal digits, "
+                        "the limit on JSON coefficients"
+                    ) from None
+                raise ValueError(f"bad coefficient {shown}") from exc
             exps = t.get("exps", {})
             if not isinstance(exps, Mapping):
                 raise ValueError("exps must be an object")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fiblucas import cli
+from fiblucas.derivops import _MAX_DERIVATION_INDEX
 from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
 from fiblucas.intertwine import _MAX_INTERTWINE_N
 from fiblucas.polyring import Poly
@@ -223,6 +224,55 @@ def test_coefficient_over_digit_limit_names_the_limit(tmp_path, capsys):
         f"error: a coefficient has more than {limit} decimal digits, "
         "the limit on JSON coefficients\n"
     )
+
+
+def test_coefficient_string_over_digit_limit_is_shown_bounded(tmp_path, capsys):
+    # the error names the limit and shows only the first 40 characters
+    path = tmp_path / "big.json"
+    doc = {"terms": [{"coeff": "7" * 5000, "exps": {"x1": 1}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", str(path))
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: coefficient {'7' * 40!r}... (5000 characters) has more than {limit} "
+        "decimal digits, the limit on JSON coefficients\n"
+    )
+    doc = {"terms": [{"coeff": "x" * 50, "exps": {"x1": 1}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad coefficient {'x' * 40!r}... (50 characters)\n"
+
+
+def test_derivation_index_limit(tmp_path, capsys):
+    path = poly_file(tmp_path, g(100000))
+    code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: generator x100000 is past the derivation index limit {_MAX_DERIVATION_INDEX}\n"
+    path = poly_file(tmp_path, g(_MAX_DERIVATION_INDEX + 1))
+    code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path)
+    assert (code, out) == (2, "")
+    assert f"derivation index limit {_MAX_DERIVATION_INDEX}" in err
+    path = poly_file(tmp_path, g(_MAX_DERIVATION_INDEX))
+    code, out, _ = run(capsys, "kernel-check", "--family", "fib", "--input", path)
+    assert (code, json.loads(out)) == (1, {"in_kernel": False})
+
+
+def test_intertwine_all_routes_builds_each_table_once(capsys, monkeypatch):
+    from fiblucas import intertwine
+
+    built = []
+    alpha_rows = intertwine.alpha_rows
+
+    def counting(kind, s_max, n_max, route=intertwine.ROUTE_BETA):
+        built.append(route)
+        return alpha_rows(kind, s_max, n_max, route)
+
+    monkeypatch.setattr(intertwine, "alpha_rows", counting)
+    code, out, _ = run(capsys, "intertwine", "--kind", "AL", "--max", "12", "--route", "all")
+    assert code == 0 and json.loads(out)["routes_agree"] is True
+    assert sorted(built) == sorted(intertwine.ROUTES)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), ZeroDivisionError("division by zero")])

@@ -5,7 +5,12 @@ from math import gcd
 import pytest
 
 from conftest import random_fraction, random_poly
-from fiblucas.derivops import Derivation, builtin_image, kernel_member
+from fiblucas.derivops import (
+    _MAX_DERIVATION_INDEX,
+    Derivation,
+    builtin_image,
+    kernel_member,
+)
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
@@ -38,6 +43,30 @@ IMAGE_TABLE = {
 def test_generator_image_table():
     for (kind, n), expected in IMAGE_TABLE.items():
         assert builtin_image(kind, n) == expected, (kind, n)
+
+
+def test_images_match_term_by_term_sums():
+    # the images as the sum of their terms, one Poly addition at a time
+    for kind in (FIBONACCI, LUCAS):
+        for n in range(1, 201):
+            expected = Poly.zero()
+            for k in range((n - 1) // 2 + 1):
+                sub = n - 1 - 2 * k
+                coeff = (-1) ** k * (sub if kind == FIBONACCI else n)
+                if coeff:
+                    expected = expected + Poly.term(coeff, {sub: 1})
+            assert builtin_image(kind, n) == expected, (kind, n)
+
+
+def test_image_index_limit_and_memo_bound():
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        assert builtin_image(kind, _MAX_DERIVATION_INDEX).generator_vars()
+        with pytest.raises(ValueError, match=f"derivation index limit {_MAX_DERIVATION_INDEX}"):
+            builtin_image(kind, _MAX_DERIVATION_INDEX + 1)
+        with pytest.raises(ValueError, match="derivation index limit"):
+            Derivation(kind)(g(_MAX_DERIVATION_INDEX + 1))
+    # bounded, and one derivation's images up to the limit fit in the memo
+    assert _MAX_DERIVATION_INDEX < builtin_image.cache_info().maxsize <= 1024
 
 
 def test_appell_images():

@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from fiblucas.exactnum import (
-    Rational,
     TruncatedSeries,
     bessel_j0_series,
     bessel_j1_series,
@@ -67,10 +66,10 @@ def test_falling_factorial_equals_binomial_times_factorial():
 
 
 def test_rational_is_always_reduced():
-    r = Rational(6, -4)
+    r = Fraction(6, -4)
     assert r.denominator > 0
     assert (abs(r.numerator), r.denominator) == (3, 2)
-    assert Rational(0, 7) == Rational(0, 1)
+    assert Fraction(0, 7) == Fraction(0, 1)
 
 
 def test_rational_field_axioms_random():

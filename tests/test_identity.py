@@ -242,6 +242,10 @@ def test_emit_latex_fractional_coefficient():
 
 def test_poly_to_latex_zero():
     assert poly_to_latex(Poly.zero(), "fibonacci") == "0"
+    p = -3 * g(0) * g(2) ** 2 + Fraction(1, 2) * g(1) - 5
+    assert poly_to_latex(p, "lucas") == r"-3L_{0}(x)L_{2}(x)^{2}+\frac{1}{2}L_{1}(x)-5"
+    p = -g(1) ** 2 - Fraction(2, 3) * Poly.x()
+    assert poly_to_latex(p, "fibonacci") == r"-F_{1}(x)^{2}-\frac{2}{3}x"
 
 
 def test_emit_json_roundtrip():

@@ -213,6 +213,7 @@ def test_str_uses_canonical_order():
     assert str(g(1) * g(3) - g(2) ** 2) == "x1*x3 - x2^2"
     assert str(Poly.zero()) == "0"
     assert str(Poly.x() ** 2 - Fraction(1, 2)) == "x^2 - 1/2"
+    assert str(-3 * g(0) * g(2) ** 2 + Fraction(1, 2) * g(1) - 5) == "-3*x0*x2^2 + 1/2*x1 - 5"
 
 
 def test_json_schema_shape():
