@@ -24,11 +24,11 @@ to the Cayley elements built from them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
-from .families import APPELL, FIBONACCI, LUCAS, derivative_terms
+from .families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, derivative_terms
 from .polyring import Mono, Poly, mono_decrement, mul_into, var_name
 
 __all__ = [
@@ -42,14 +42,7 @@ CUSTOM = "custom"
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
 
-# Largest generator index a built-in derivation accepts, the same bound
-# as the family index limit of identity.phi_subst.  D(x_n) has about n/2
-# terms.  On CPython 3.11 and a 2-vCPU x86-64 VM, `kernel-check` on the
-# sum x_0 + ... + x_1000 takes about 2 s, most of it building the 1001
-# images, which the memo (1024 entries) then holds in about 60 MB.
-_MAX_DERIVATION_INDEX = 1000
-
-
+# the memo holds every image up to the index limit, about 50 MB at 1000
 @lru_cache(maxsize=1024)
 def builtin_image(kind: str, n: int) -> Poly:
     """Generator image D(x_n) for one of the built-in derivations."""
@@ -57,9 +50,9 @@ def builtin_image(kind: str, n: int) -> Poly:
         raise ValueError(f"unknown derivation kind: {kind!r}")
     if n < 0:
         raise ValueError("generator index must be >= 0")
-    if n > _MAX_DERIVATION_INDEX:
+    if n > _MAX_FAMILY_INDEX:
         raise ValueError(
-            f"generator x{n} is past the derivation index limit {_MAX_DERIVATION_INDEX}"
+            f"generator x{n} is past the derivation index limit {_MAX_FAMILY_INDEX}"
         )
     return Poly.from_terms((((i, 1),), c) for i, c in derivative_terms(kind, n))
 
@@ -73,7 +66,7 @@ class Derivation:
     process-wide.
     """
 
-    __slots__ = ("kind", "_images")
+    __slots__ = ("kind", "_images", "_den")
 
     def __init__(
         self, kind: str, images: Mapping[int, Poly] | None = None
@@ -94,6 +87,8 @@ class Derivation:
         else:
             raise ValueError(f"unknown derivation kind: {kind!r}")
         self.kind = kind
+        # the lcm of the image denominators; built-in images are integral
+        self._den = lcm(*(img.numerators()[1] for img in (self._images or {}).values()))
 
     @classmethod
     def fibonacci(cls) -> "Derivation":
@@ -127,32 +122,27 @@ class Derivation:
     def __call__(self, p: Poly) -> Poly:
         """Apply the Leibniz-linear extension to a generator polynomial.
 
-        One pass over integer numerators: with den the common
-        denominator of p, every product c*den * e * (image coefficient)
-        is summed per monomial, and each sum is divided by den once at
-        the end.  Built-in images have integer coefficients, so the sums
-        stay ints; a custom table with Fraction images stays exact.
+        One pass over the stored integer numerators of p and of the
+        images.  An image over denominator d is read scaled by den/d,
+        den the lcm of the table's denominators (1 for the built-ins),
+        so the sums stay ints and the result is over den times p's.
         """
         if p.contains_x:
             raise ValueError(
                 "derivations act on generator polynomials; found x"
             )
-        terms, den = p.numerators()
-        images: dict[int, list[tuple[Mono, int | Fraction]]] = {}
-        acc: dict[Mono, int | Fraction] = {}
-        for mono, num in terms:
+        nums, p_den = p.numerators()
+        images: dict[int, tuple] = {}  # v -> (image numerators, scale)
+        acc: dict[Mono, int] = {}
+        for mono, num in nums.items():
             for v, e in mono:
                 img = images.get(v)
                 if img is None:
-                    img = images[v] = [
-                        (m, c2.numerator if c2.denominator == 1 else c2)
-                        for m, c2 in self.image(v).items()
-                    ]
-                if img:
-                    mul_into(acc, ((mono_decrement(mono, v), num * e),), img)
-        for m, s in acc.items():
-            acc[m] = Fraction(s, den)
-        return Poly._make(acc)
+                    img_nums, img_den = self.image(v).numerators()
+                    img = images[v] = (img_nums.items(), self._den // img_den)
+                if img[0]:
+                    mul_into(acc, ((mono_decrement(mono, v), num * e * img[1]),), img[0])
+        return Poly._make(acc, p_den * self._den)
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged."""

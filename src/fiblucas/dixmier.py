@@ -31,22 +31,21 @@ with h = x_2, g = x_1, t = n-2 (fibonacci, n >= 3) and h = x_1,
 g = x_0, t = n-1 (lucas, n >= 2; C_1 = x_0 is the degenerate case).
 At k = t+1 the only subscript is g's own, so every g exponent is >= 0.
 
-Both routes sum integer numerators per monomial, with one Fraction per
-surviving term at the end.  In the closed route (k-1)! cancels against
-k!, so the k-th term has denominator k and all are scaled by
-L = lcm(1..t+1); the constructive route scales its weights likewise.
+The closed route sums integer numerators per monomial: (k-1)! cancels
+against k!, so the k-th term has denominator k, and all terms are
+scaled by L = lcm(1..t+1) and handed to Poly over L.  The constructive
+route is plain Poly arithmetic, which is integer arithmetic inside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, lcm
 
 from .derivops import Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS
-from .polyring import Mono, Poly, mono_mul, mul_into, var_name
+from .polyring import Poly, var_name
 
 __all__ = [
     "closed_power_on_generator",
@@ -60,16 +59,13 @@ __all__ = [
 ]
 
 _NILPOTENCY_CAP = 512  # iterations before giving up on termination
-# Size limits, rejected up front rather than run for minutes.  C_n has
-# about n^2/4 terms.  At the limits, on CPython 3.11 and a 2-vCPU x86-64
-# VM, `cayley --route both` takes about 0.6 s, `scan` about 4.5 s, and
-# `identity` on x_1000 about 3 s, nearly all of it building the family
-# polynomial.  C_n uses generators up to x_n, so every Cayley element
-# stays within the index limit that identity.phi_subst enforces, and
-# within its degree limit: the substituted C_n has degree at most n.
+# Size limit, rejected up front rather than run for minutes.  C_n has
+# about n^2/4 terms.  At the limit, on CPython 3.11 and a 2-vCPU x86-64
+# VM, `cayley --route both` takes about 0.4 s and `scan` about 3.5 s.
+# C_n uses generators up to x_n, so every Cayley element stays within
+# the family index limit and within identity's substituted degree
+# limit: the substituted C_n has degree at most n.
 _MAX_CAYLEY_N = 150
-_MAX_FAMILY_INDEX = 1000
-_MAX_SUBST_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -108,9 +104,9 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
 
     Returned over a minimal power of the slice's denominator generator.
     Requires the slice invariant (D(h) = image != 0, D(image) = 0) and
-    an image c * x_j, a rational multiple of a single generator.  With
-    D^k(x_n) = P_k/den_k and h = H/hden, x_j^kmax times the k-th term is
-    P_k (-H)^k x_j^(kmax-k) / (k! (c hden)^k den_k), summed in ints.
+    an image c * x_j, a rational multiple of a single generator.  The
+    sum x_j^kmax sigma = sum_k D^k(x_n) (-h)^k x_j^(kmax-k) / (k! c^k)
+    is built from Poly products; x_j is then stripped in one pass.
     """
     if s.image.is_zero() or d(s.h) != s.image or not d(s.image).is_zero():
         raise ValueError("slice invariant violated: need D(h) = image != 0 and D(image) = 0")
@@ -126,32 +122,20 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
         powers.append(d(powers[-1]))
     kmax = len(powers) - 2  # last nonzero index
 
-    # the weights 1/(k! (c hden)^k den_k) go over one common denominator
-    neg_h, hden = (-s.h).numerators()
-    numerators, weights, weight = [], [], Fraction(1)
+    neg_h = -s.h
+    total, weight = Poly.zero(), Poly.one()  # weight = (-h)^k / (k! c^k)
     for k in range(kmax + 1):
         if k:
-            weight /= k * c * hden
-        nums, den_k = powers[k].numerators()
-        numerators.append(nums)
-        weights.append(weight / den_k)
-    den = lcm(*(w.denominator for w in weights))
-    acc: dict[Mono, int] = {}
-    h_power: dict[Mono, int] = {(): 1}  # (-H)^k
-    for k in range(kmax + 1):
-        if k:
-            h_power = mul_into({}, h_power.items(), neg_h)
-        scale = weights[k].numerator * (den // weights[k].denominator)
-        shift = ((j, kmax - k),) if k < kmax else ()
-        mul_into(acc, numerators[k], [(mono_mul(m, shift), scale * b) for m, b in h_power.items()])
+            weight = weight * neg_h / (k * c)
+        total = total + powers[k] * (weight * Poly.term(1, {j: kmax - k}))
 
     # strip the power of x_j that divides every term, at most kmax, in one pass
-    strip = min(kmax, min((dict(m).get(j, 0) for m in acc), default=kmax))
+    nums, den = total.numerators()
+    strip = min(kmax, min((dict(m).get(j, 0) for m in nums), default=kmax))
     numerator = Poly._make({
-        tuple((v, e - strip) if v == j else (v, e) for v, e in m if v != j or e > strip):
-        Fraction(t, den)
-        for m, t in acc.items()
-    })
+        tuple((v, e - strip) if v == j else (v, e) for v, e in m if v != j or e > strip): t
+        for m, t in nums.items()
+    }, den)
     return LocalizedPoly(numerator, j, kmax - strip)
 
 
@@ -213,7 +197,7 @@ def cayley_closed(kind: str, n: int) -> Poly:
                 eg, eh = t - k + (sub == g), k + (sub == h)
                 m = ((g, eg), (h, eh)) if eg else ((h, eh),)
                 acc[m] = acc.get(m, 0) + step * c
-    return Poly._make({m: Fraction(s, scale) for m, s in acc.items() if s})
+    return Poly._make({m: s for m, s in acc.items() if s}, scale)
 
 
 def cayley_constructive(kind: str, n: int) -> Poly:

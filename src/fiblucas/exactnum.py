@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers and truncated formal power series.
 
-Every coefficient in this package is a ``fractions.Fraction``: always
-stored reduced, positive denominator, exact field arithmetic.  This
-module adds the combinatorial helpers (generalized binomial, falling
-factorial) and a fixed-order truncated series type used for
+Every coefficient in this package is an int or a reduced Fraction;
+Poly keeps integer numerators over one denominator (see polyring).
+This module adds the combinatorial helpers (generalized binomial,
+falling factorial) and a fixed-order truncated series type used for
 generating-function work.  No floating point anywhere.
 """
 
@@ -56,7 +56,8 @@ class TruncatedSeries:
 
     ``coeffs[i]`` is the coefficient of z^i and ``order == len(coeffs)``
     (at least 1).  Coefficients are Fractions (ints are converted) or
-    any exact ring elements that mix with them, such as ``Poly``.
+    any exact ring elements that mix with them, such as ``Poly``;
+    floats are rejected.
     Arithmetic never reads beyond index order-1, and both operands of
     a product must share the same order.  Instances are immutable and
     safe to share.
@@ -66,6 +67,8 @@ class TruncatedSeries:
 
     def __init__(self, coeffs: Iterable) -> None:
         cs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
+        if any(isinstance(c, float) for c in cs):
+            raise TypeError("series coefficients must be exact, not float")
         if not cs:
             raise ValueError("TruncatedSeries requires order >= 1")
         self._coeffs = cs

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import prod
 
 from .derivops import Derivation, kernel_member
-from .dixmier import _MAX_FAMILY_INDEX, _MAX_SUBST_DEGREE, _check_cayley_args, cayley_closed
-from .families import FIBONACCI, LUCAS, family_poly
+from .dixmier import _check_cayley_args, cayley_closed
+from .families import _MAX_FAMILY_INDEX, FIBONACCI, LUCAS, family_poly
 from .intertwine import AL, psi
 from .polyring import Mono, Poly, PolyMatrix, X, divide_by_generator
 
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PHI_FAMILIES = (FIBONACCI, LUCAS)
+_MAX_SUBST_DEGREE = 1000  # largest degree in x of a substituted polynomial
 
 
 def _check_family(family: str) -> None:
@@ -42,7 +43,7 @@ def _check_family(family: str) -> None:
 def _pack(img: Poly, b: int) -> int:
     """Kronecker packing of a polynomial in x with integer coefficients
     (as family polynomials have): its value at x = 2^b."""
-    return sum(c.numerator << (b * (m[0][1] if m else 0)) for m, c in img.items())
+    return sum(c << (b * (m[0][1] if m else 0)) for m, c in img.numerators()[0].items())
 
 
 def _unpack(packed: int, b: int) -> list[int]:
@@ -87,7 +88,7 @@ def _subst_degree(family: str, p: Poly) -> int:
     Plain loops: scan runs this on every Cayley element."""
     shift = 1 if family == FIBONACCI else 0
     top = 0
-    for m, _ in p.items():
+    for m in p.numerators()[0]:
         degree = 0
         for v, e in m:
             degree += e * (v - shift if v > shift else 1 if v == X else 0)
@@ -120,13 +121,12 @@ def phi_subst(family: str, p: Poly) -> Poly:
         )
     images = {v: family_poly(family, v) for v in gens}
     images[X] = Poly.x()
-    terms, den = p.numerators()
-    norms = {v: sum(abs(c.numerator) for _, c in img.items()) for v, img in images.items()}
-    b = _evaluate([(m, abs(c)) for m, c in terms], norms).bit_length() + 2
-    total = _evaluate(terms, {v: _pack(img, b) for v, img in images.items()})
-    return Poly.from_terms(
-        (((X, k),) if k else (), Fraction(d, den))
-        for k, d in enumerate(_unpack(total, b))
+    nums, den = p.numerators()
+    norms = {v: sum(map(abs, img.numerators()[0].values())) for v, img in images.items()}
+    b = _evaluate([(m, abs(c)) for m, c in nums.items()], norms).bit_length() + 2
+    total = _evaluate(nums.items(), {v: _pack(img, b) for v, img in images.items()})
+    return Poly._make(
+        {((X, k),) if k else (): d for k, d in enumerate(_unpack(total, b)) if d}, den
     )
 
 

@@ -289,7 +289,7 @@ class LinearSubstitution:
 
     def __init__(self, images: Mapping[int, Poly]) -> None:
         for n, img in images.items():
-            for mono, _ in img.items():
+            for mono in img.numerators()[0]:
                 if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] == X:
                     raise ValueError(
                         f"image of {var_name(n)} must be homogeneous of degree 1 in the generators"

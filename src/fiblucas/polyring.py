@@ -5,10 +5,12 @@ index) plus one distinguished univariate indeterminate ``x`` (id
 ``X``).  The variable universe is dynamic: nothing fixes the largest
 generator index in advance.
 
-A polynomial is a map from monomials to nonzero Fraction coefficients,
-kept in canonical form (no zero coefficients, reduced fractions), so
-structural equality is mathematical equality.  Monomials are sorted
-tuples of (variable, exponent) pairs with all exponents positive.
+A polynomial is nonzero integer numerators per monomial over one
+positive denominator, kept primitive (the gcd of all of them is 1; zero
+is no terms over 1), as in FLINT's fmpq_poly.  The form is unique, so
+structural equality is mathematical equality; items() yields reduced
+Fractions.  Monomials are sorted tuples of (variable, exponent) pairs
+with all exponents positive.
 
 The canonical term order used for printing and serialization is graded
 lexicographic: higher total degree first, ties broken by comparing
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -65,6 +67,8 @@ def mono_from_exps(exps: Mapping[int, int]) -> Mono:
     for v, e in exps.items():
         if not isinstance(v, int) or v < X:
             raise ValueError(f"invalid variable id: {v!r}")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"exponent of {var_name(v)} must be an int, got {e!r}")
         if e < 0:
             raise ValueError(f"negative exponent for {var_name(v)}")
         if e > 0:
@@ -89,9 +93,20 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(items)
 
 
+def _merge(acc: dict, terms: Iterable, scale: int = 1) -> dict:
+    """acc += scale * terms over (monomial, int) pairs, dropping sums that cancel."""
+    for m, c in terms:
+        s = acc.get(m, 0) + c * scale
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+    return acc
+
+
 def mul_into(acc: dict, left: Iterable, right: Collection) -> dict:
     """acc += left * right over (monomial, nonzero coefficient) pairs, dropping
-    sums that cancel; Poly.__mul__ and the integer-numerator kernels use it."""
+    sums that cancel; Poly.__mul__ and Derivation.__call__ use it."""
     for m1, a in left:
         for m2, b in right:
             m = mono_mul(m1, m2)
@@ -128,21 +143,28 @@ def _mono_sort_key(m: Mono):
 
 
 class Poly:
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self) -> None:
-        self._terms: dict[Mono, Fraction] = {}
+        self._nums: dict[Mono, int] = {}
+        self._den = 1
         self._hash: int | None = None
 
     # ---- construction -------------------------------------------------
 
     @classmethod
-    def _make(cls, terms: dict[Mono, Fraction]) -> "Poly":
-        # trusted: monomials canonical, zero coefficients dropped
+    def _make(cls, nums: dict[Mono, int], den: int = 1) -> "Poly":
+        """Trusted: canonical monomials, no zero numerator, den > 0; divides out the gcd."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {m: c // g for m, c in nums.items()}
+                den //= g
         p = cls.__new__(cls)
-        p._terms = terms
+        p._nums = nums
+        p._den = den
         p._hash = None
         return p
 
@@ -152,86 +174,84 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._make({(): Fraction(1)})
+        return cls._make({(): 1})
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
-        return cls._make({(): c} if c else {})
+        if not isinstance(c, _VALID_COEFF):
+            raise TypeError(f"coefficient must be an int or Fraction, got {c!r}")
+        return cls._make({(): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def gen(cls, n: int) -> "Poly":
         """The generator x_n."""
         if n < 0:
             raise ValueError("generator index must be >= 0")
-        return cls._make({((n, 1),): Fraction(1)})
+        return cls._make({((n, 1),): 1})
 
     @classmethod
     def x(cls) -> "Poly":
         """The distinguished indeterminate x."""
-        return cls._make({((X, 1),): Fraction(1)})
+        return cls._make({((X, 1),): 1})
 
     @classmethod
     def term(cls, coeff: Fraction | int, exps: Mapping[int, int]) -> "Poly":
         """A single term coeff * prod x_v^e; zero exponents are dropped."""
-        c = Fraction(coeff)
-        if c == 0:
-            return cls.zero()
-        return cls._make({mono_from_exps(exps): c})
+        c = cls.constant(coeff)
+        return cls._make({mono_from_exps(exps): c._nums[()]}, c._den) if c else c
 
     @classmethod
-    def from_terms(cls, items: Iterable[tuple[Mono, Fraction]]) -> "Poly":
-        """Sum of (canonical monomial, coefficient) pairs; merges duplicates."""
-        acc: dict[Mono, Fraction] = {}
-        for m, c in items:
-            nc = acc.get(m, Fraction(0)) + c
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-        return cls._make(acc)
+    def from_terms(cls, items: Iterable[tuple[Mono, Fraction | int]]) -> "Poly":
+        """Sum of (canonical monomial, coefficient) pairs; merges duplicates
+        over the lcm of the coefficients' denominators."""
+        items = list(items)
+        den = lcm(*(c.denominator for _, c in items))
+        return cls._make(
+            _merge({}, ((m, c.numerator * (den // c.denominator)) for m, c in items)), den
+        )
 
     # ---- inspection ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Mono, Fraction]]:
         """Iterate (monomial, coefficient) pairs in no particular order."""
-        return iter(self._terms.items())
+        den = self._den
+        return ((m, Fraction(c, den)) for m, c in self._nums.items())
 
-    def numerators(self) -> tuple[list[tuple[Mono, int]], int]:
-        """(terms of den * self, den): integer numerators over the lcm den."""
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        return [(m, c.numerator * (den // c.denominator)) for m, c in self._terms.items()], den
+    def numerators(self) -> tuple[dict[Mono, int], int]:
+        """The stored (numerators, den): self = sum numerators[m] * m / den.
+        The dict is shared, not copied; callers must not modify it."""
+        return self._nums, self._den
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in the canonical (graded lexicographic) order."""
-        return sorted(self._terms.items(), key=lambda mc: _mono_sort_key(mc[0]))
+        return sorted(self.items(), key=lambda mc: _mono_sort_key(mc[0]))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._nums or (len(self._nums) == 1 and () in self._nums)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty monomial (0 for the zero poly)."""
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._nums.get((), 0), self._den)
 
     def coefficient(self, exps: Mapping[int, int]) -> Fraction:
-        return self._terms.get(mono_from_exps(exps), Fraction(0))
+        return Fraction(self._nums.get(mono_from_exps(exps), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(_mono_degree(m) for m in self._terms)
+        return max(_mono_degree(m) for m in self._nums)
 
     def degree_in(self, v: int) -> int:
         """Largest exponent of variable v across terms (0 if absent)."""
         deg = 0
-        for m in self._terms:
+        for m in self._nums:
             for w, e in m:
                 if w == v and e > deg:
                     deg = e
@@ -239,17 +259,17 @@ class Poly:
 
     def variables(self) -> set[int]:
         out: set[int] = set()
-        for m in self._terms:
+        for m in self._nums:
             for v, _ in m:
                 out.add(v)
         return out
 
     @property
     def contains_x(self) -> bool:
-        return any(v == X for m in self._terms for v, _ in m)
+        return any(v == X for m in self._nums for v, _ in m)
 
     def generator_vars(self) -> set[int]:
-        return {v for m in self._terms for v, _ in m if v != X}
+        return {v for m in self._nums for v, _ in m if v != X}
 
     # ---- ring operations -------------------------------------------------
 
@@ -265,19 +285,16 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for m, c in q._terms.items():
-            nc = terms.get(m, Fraction(0)) + c
-            if nc:
-                terms[m] = nc
-            else:
-                terms.pop(m, None)
-        return Poly._make(terms)
+        a, b = (self, q) if len(self._nums) >= len(q._nums) else (q, self)
+        den = lcm(a._den, b._den)
+        s = den // a._den
+        acc = dict(a._nums) if s == 1 else {m: c * s for m, c in a._nums.items()}
+        return Poly._make(_merge(acc, b._nums.items(), den // b._den), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make({m: -c for m, c in self._terms.items()})
+        return Poly._make({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -295,16 +312,15 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return Poly._make(mul_into({}, self._terms.items(), q._terms.items()))
+        return Poly._make(mul_into({}, self._nums.items(), q._nums.items()), self._den * q._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, _VALID_COEFF):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return Poly._make({m: v / c for m, v in self._terms.items()})
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __pow__(self, k: int) -> "Poly":
@@ -321,19 +337,19 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._terms == other._terms
         if isinstance(other, _VALID_COEFF):
-            return self._terms == Poly.constant(other)._terms
+            other = Poly.constant(other)
+        if isinstance(other, Poly):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # ---- substitution and differentiation ---------------------------------
 
@@ -345,7 +361,7 @@ class Poly:
         """
         power_cache: dict[tuple[int, int], Poly] = {}
         out = Poly.zero()
-        for m, c in self._terms.items():
+        for m, c in self._nums.items():
             acc = Poly.constant(c)
             for v, e in m:
                 key = (v, e)
@@ -363,7 +379,7 @@ class Poly:
                     power_cache[key] = pw
                 acc = acc * pw
             out = out + acc
-        return out
+        return out / self._den
 
     def diff_x(self) -> "Poly":
         """Formal derivative in the distinguished x.
@@ -377,20 +393,19 @@ class Poly:
             raise ValueError(
                 f"diff_x requires a polynomial in x only; found {bad}"
             )
-        pairs = []
-        for m, c in self._terms.items():
-            if not m:
-                continue
-            ((_, e),) = m
-            pairs.append((((X, e - 1),) if e > 1 else (), c * e))
-        return Poly.from_terms(pairs)
+        nums = {}
+        for m, c in self._nums.items():
+            if m:
+                ((_, e),) = m
+                nums[((X, e - 1),) if e > 1 else ()] = c * e
+        return Poly._make(nums, self._den)
 
     # ---- rendering and serialization -----------------------------------
 
     def render(self, factor, coeff, times: str, plus: str, minus: str) -> str:
         """Terms in canonical order, signed by plus and minus: coeff(|c|) and
         factor(v, e) per variable joined by times, a unit coefficient left out."""
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts: list[str] = []
         for m, c in self.sorted_terms():
@@ -478,12 +493,10 @@ class Poly:
 
 def divide_by_generator(p: Poly, v: int) -> Poly | None:
     """Exact quotient p / x_v, or None if some term lacks the factor."""
-    out = []
-    for m, c in p.items():
-        if not any(w == v for w, _ in m):
-            return None
-        out.append((mono_decrement(m, v), c))
-    return Poly.from_terms(out)
+    nums, den = p.numerators()
+    if not all(any(w == v for w, _ in m) for m in nums):
+        return None
+    return Poly._make({mono_decrement(m, v): c for m, c in nums.items()}, den)
 
 
 class PolyMatrix:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from fiblucas import cli
-from fiblucas.derivops import _MAX_DERIVATION_INDEX
-from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, cayley_closed
+from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
+from fiblucas.families import _MAX_FAMILY_INDEX
 from fiblucas.intertwine import _MAX_INTERTWINE_N
 from fiblucas.polyring import Poly
 
@@ -249,12 +249,12 @@ def test_derivation_index_limit(tmp_path, capsys):
     path = poly_file(tmp_path, g(100000))
     code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", path)
     assert (code, out) == (2, "")
-    assert err == f"error: generator x100000 is past the derivation index limit {_MAX_DERIVATION_INDEX}\n"
-    path = poly_file(tmp_path, g(_MAX_DERIVATION_INDEX + 1))
+    assert err == f"error: generator x100000 is past the derivation index limit {_MAX_FAMILY_INDEX}\n"
+    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX + 1))
     code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path)
     assert (code, out) == (2, "")
-    assert f"derivation index limit {_MAX_DERIVATION_INDEX}" in err
-    path = poly_file(tmp_path, g(_MAX_DERIVATION_INDEX))
+    assert f"derivation index limit {_MAX_FAMILY_INDEX}" in err
+    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX))
     code, out, _ = run(capsys, "kernel-check", "--family", "fib", "--input", path)
     assert (code, json.loads(out)) == (1, {"in_kernel": False})
 

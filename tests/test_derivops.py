@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,14 +7,9 @@ from math import gcd
 import pytest
 
 from conftest import random_fraction, random_poly
-from fiblucas.derivops import (
-    _MAX_DERIVATION_INDEX,
-    Derivation,
-    builtin_image,
-    kernel_member,
-)
+from fiblucas.derivops import Derivation, builtin_image, kernel_member
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
-from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
+from fiblucas.families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
 from fiblucas.polyring import Poly, mono_decrement, mono_from_exps
 
@@ -58,15 +55,26 @@ def test_images_match_term_by_term_sums():
             assert builtin_image(kind, n) == expected, (kind, n)
 
 
+def test_integer_images_and_leibniz_pass_build_no_fraction():
+    c = cayley_closed(LUCAS, 40)
+    builtin_image.cache_clear()
+    profile = cProfile.Profile()
+    images = profile.runcall(lambda: [builtin_image(LUCAS, n) for n in range(300)])
+    assert profile.runcall(Derivation.lucas(), c).is_zero()
+    built = [f for f in pstats.Stats(profile).stats if f[0].endswith("fractions.py") and f[2] == "__new__"]
+    assert not built
+    assert images[7] == 7 * (g(6) - g(4) + g(2) - g(0))
+
+
 def test_image_index_limit_and_memo_bound():
     for kind in (FIBONACCI, LUCAS, APPELL):
-        assert builtin_image(kind, _MAX_DERIVATION_INDEX).generator_vars()
-        with pytest.raises(ValueError, match=f"derivation index limit {_MAX_DERIVATION_INDEX}"):
-            builtin_image(kind, _MAX_DERIVATION_INDEX + 1)
+        assert builtin_image(kind, _MAX_FAMILY_INDEX).generator_vars()
+        with pytest.raises(ValueError, match=f"derivation index limit {_MAX_FAMILY_INDEX}"):
+            builtin_image(kind, _MAX_FAMILY_INDEX + 1)
         with pytest.raises(ValueError, match="derivation index limit"):
-            Derivation(kind)(g(_MAX_DERIVATION_INDEX + 1))
+            Derivation(kind)(g(_MAX_FAMILY_INDEX + 1))
     # bounded, and one derivation's images up to the limit fit in the memo
-    assert _MAX_DERIVATION_INDEX < builtin_image.cache_info().maxsize <= 1024
+    assert _MAX_FAMILY_INDEX < builtin_image.cache_info().maxsize <= 1024
 
 
 def test_appell_images():
@@ -238,9 +246,11 @@ def _mono_product(a, b):
 
 
 def leibniz_reference(d, p):
-    """The Fraction Leibniz loop that Derivation.__call__ replaced: every
-    product term in Fraction, merged by Poly.from_terms.  Monomials are
-    multiplied through mono_from_exps, independently of mono_mul."""
+    """A term-by-term Leibniz loop: every product term as a Fraction,
+    merged by Poly.from_terms.  Monomials are multiplied through
+    mono_from_exps, independently of mono_mul.  It shares Poly with the
+    code under test; test_polyring checks Poly against plain Fraction
+    dicts."""
 
     def terms():
         img_terms = {}

@@ -171,15 +171,17 @@ def test_localized_poly_str():
     assert str(triv) == "x1"
 
 
-# ---- Fraction references for the integer Cayley builders ---------------
+# ---- references for the integer Cayley builders ------------------------
 #
-# The Fraction code both routes ran before they moved to integer
-# numerators, kept as the oracle: every value must agree exactly.
+# Plainer forms of both routes, with the Dixmier weights and the closed
+# coefficients written as Fractions: every value must agree exactly.
+# They run on the same integer-numerator Poly; the oracle independent of
+# Poly is the Fraction-dict one in test_polyring.
 
 
 def reference_dixmier_sigma(d, s, n):
-    """The Dixmier sum as Fraction Poly products, x_j stripped one power
-    at a time."""
+    """The Dixmier sum with Fraction weights 1/(k! c^k), x_j stripped
+    one power at a time."""
     (mono, c), = s.image.items()
     ((j, _),) = mono
     powers = [g(n)]
@@ -201,8 +203,8 @@ def reference_dixmier_sigma(d, s, n):
 
 
 def reference_cayley_closed(kind, n):
-    """C_n = sum_k D^k(x_n) (-h)^k g^(t-k) / k! in Fractions, with
-    D^k(x_n) from the closed binomial formula."""
+    """C_n = sum_k D^k(x_n) (-h)^k g^(t-k) / k! as Fraction terms merged
+    by Poly.from_terms, with D^k(x_n) from the closed binomial formula."""
     if kind == "lucas" and n == 1:
         return g(0)
     h, gen = (2, 1) if kind == "fibonacci" else (1, 0)

@@ -91,6 +91,11 @@ def test_series_requires_positive_order():
         TruncatedSeries([])
 
 
+def test_series_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        TruncatedSeries([0.5, 1])
+
+
 def test_series_difference_of_squares():
     a = TruncatedSeries([1, 1, 0])
     b = TruncatedSeries([1, -1, 0])

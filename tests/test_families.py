@@ -1,6 +1,7 @@
 import pytest
 
 from fiblucas.families import (
+    _MAX_FAMILY_INDEX,
     APPELL,
     FIBONACCI,
     LUCAS,
@@ -76,6 +77,15 @@ def test_degrees():
     for n in range(1, 16):
         assert family_poly(FIBONACCI, n).degree() == n - 1
         assert family_poly(LUCAS, n).degree() == n
+
+
+def test_family_index_limit():
+    before = family_poly.cache_info().currsize
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        for n in (_MAX_FAMILY_INDEX + 1, 10 ** 5):
+            with pytest.raises(ValueError, match=f"family index limit {_MAX_FAMILY_INDEX}"):
+                family_poly(kind, n)
+    assert family_poly.cache_info().currsize == before
 
 
 def test_bad_arguments_rejected():

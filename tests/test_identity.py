@@ -6,9 +6,10 @@ import pytest
 
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
-from fiblucas.dixmier import _MAX_CAYLEY_N, _MAX_FAMILY_INDEX, _MAX_SUBST_DEGREE, cayley_closed
-from fiblucas.families import family_poly
+from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
+from fiblucas.families import _MAX_FAMILY_INDEX, family_poly
 from fiblucas.identity import (
+    _MAX_SUBST_DEGREE,
     IdentityReport,
     _pack,
     _subst_degree,
@@ -58,7 +59,8 @@ def test_phi_is_a_homomorphism():
 
 
 def sparse_phi(family, p):
-    """The reference substitution: sparse Poly products over Fraction."""
+    """The reference substitution: sparse Poly products (Poly.substitute,
+    itself checked against plain Fraction dicts in test_polyring)."""
     return p.substitute({v: family_poly(family, v) for v in p.generator_vars()})
 
 

@@ -2,10 +2,12 @@ import json
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from conftest import random_fraction, random_poly, random_x_poly
+from conftest import random_fraction, random_poly, random_terms, random_x_poly
+from fiblucas.derivops import Derivation
 from fiblucas.polyring import Poly, PolyMatrix, X, divide_by_generator, mono_from_exps, mono_mul
 
 
@@ -299,3 +301,165 @@ def test_mono_mul_matches_merged_exponents():
                 merged[v] = merged.get(v, 0) + e
             assert mono_mul(a, b) == mono_from_exps(merged), (a, b)
     assert mono_mul(((X, 1),), ((2, 1), (7, 3))) == ((2, 1), (7, 3), (X, 1))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Poly.constant(0.1), TypeError),
+        (lambda: Poly.term(0.5, {0: 1}), TypeError),
+        (lambda: Poly.term(1, {0: 1.5}), ValueError),
+        (lambda: Poly.term(1, {0: True}), ValueError),
+        (lambda: mono_from_exps({2: 2.0}), ValueError),
+    ],
+)
+def test_inexact_coefficients_and_exponents_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
+# ---- Poly against a plain Fraction-dict oracle --------------------------
+#
+# The oracle shares no code with Poly: a polynomial is a dict from
+# plainly sorted (variable, exponent) tuples to nonzero Fractions, built
+# from the same random terms as the Poly under test.
+
+
+def _ref(terms):
+    out = {}
+    for exps, c in terms:
+        k = tuple(sorted((v, e) for v, e in exps.items() if e))
+        out[k] = out.get(k, 0) + c
+    return {k: Fraction(c) for k, c in out.items() if c}
+
+
+def _ref_terms(a):
+    return [(dict(k), c) for k, c in a.items()]
+
+
+def _ref_scale(a, c):
+    return _ref([(e, v * c) for e, v in _ref_terms(a)])
+
+
+def _ref_mul(a, b):
+    terms = []
+    for e1, c1 in _ref_terms(a):
+        for k2, c2 in b.items():
+            exps = dict(e1)
+            for v, e in k2:
+                exps[v] = exps.get(v, 0) + e
+            terms.append((exps, c1 * c2))
+    return _ref(terms)
+
+
+def _ref_pow(a, k):
+    out = {(): Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, images):
+    out = {}
+    for k, c in a.items():
+        t = {(): c}
+        for v, e in k:
+            t = _ref_mul(t, _ref_pow(images.get(v, {((X, 1),): Fraction(1)}), e))
+        out = _ref(_ref_terms(out) + _ref_terms(t))
+    return out
+
+
+def _ref_derive(images, a):
+    """Leibniz rule on a dict polynomial, images given as dicts."""
+    terms = []
+    for k, c in a.items():
+        for v, e in k:
+            for k2, c2 in images[v].items():
+                exps = dict(k)
+                exps[v] -= 1
+                for w, f in k2:
+                    exps[w] = exps.get(w, 0) + f
+                terms.append((exps, c * e * c2))
+    return _ref(terms)
+
+
+def _as_ref(p):
+    out = {}
+    for m, c in p.items():
+        assert type(c) is Fraction and c != 0
+        out[tuple(sorted(m))] = c
+    return out
+
+
+def _assert_primitive(p):
+    nums, den = p.numerators()
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+def _from_terms(terms):
+    return sum((Poly.term(c, exps) for exps, c in terms), Poly.zero())
+
+
+def test_poly_matches_fraction_dict_oracle():
+    rng = random.Random(8080)
+    for _ in range(150):
+        tp, tq = random_terms(rng, allow_x=True), random_terms(rng, allow_x=True)
+        p, q, P, Q = _from_terms(tp), _from_terms(tq), _ref(tp), _ref(tq)
+        c = random_fraction(rng) or Fraction(1, 7)
+        k = rng.randint(0, 4)
+        images = {v: random_terms(rng, max_var=3, max_degree=2, max_terms=3) for v in range(6)}
+        cases = {
+            "build": (p, P),
+            "+": (p + q, _ref(tp + tq)),
+            "-": (p - q, _ref(tp + _ref_terms(_ref_scale(Q, -1)))),
+            "neg": (-p, _ref_scale(P, -1)),
+            "*": (p * q, _ref_mul(P, Q)),
+            "/": (p / c, _ref_scale(P, 1 / c)),
+            "**": (p ** k, _ref_pow(P, k)),
+            "substitute": (
+                p.substitute({v: _from_terms(t) for v, t in images.items()}),
+                _ref_substitute(P, {v: _ref(t) for v, t in images.items()}),
+            ),
+            "json": (Poly.from_json(json.loads(json.dumps(p.to_json()))), P),
+        }
+        for name, (got, want) in cases.items():
+            _assert_primitive(got)
+            assert _as_ref(got) == want, (name, p, q)
+        assert p.constant_value() == P.get((), 0)
+        assert p.is_zero() == (not P) and len(p) == len(P)
+
+
+def test_equal_polys_built_two_ways_hash_equal():
+    rng = random.Random(8081)
+    for _ in range(100):
+        p, q, r = (random_poly(rng, allow_x=True) for _ in range(3))
+        for a, b in [
+            ((p + q) * r, p * r + q * r),
+            (Poly.from_terms(p.items()), p),
+            (p * Fraction(2, 3) + p / 3, p),
+            ((p * 6) / 6, p),
+            (p + q - q, p),
+        ]:
+            _assert_primitive(a)
+            assert a == b and hash(a) == hash(b)
+
+
+def test_custom_derivation_with_rational_images_matches_oracle():
+    images = {
+        0: {},
+        1: {((0, 1),): Fraction(1, 3)},
+        2: {((1, 1),): Fraction(1, 2), ((0, 1),): Fraction(5, 7)},
+    }
+    d = Derivation.custom({
+        v: _from_terms([(dict(k), c) for k, c in img.items()]) for v, img in images.items()
+    })
+    rng = random.Random(8082)
+    for _ in range(100):
+        terms = random_terms(rng, max_var=2)
+        p, P = _from_terms(terms), _ref(terms)
+        for _ in range(3):
+            p, P = d(p), _ref_derive(images, P)
+            _assert_primitive(p)
+            assert _as_ref(p) == P
