@@ -44,8 +44,6 @@ from .intertwine import (
     b_sequence,
     check_intertwining,
     psi,
-    solve_recurrence_af,
-    solve_recurrence_al,
 )
 from .identity import (
     IdentityReport,
@@ -92,8 +90,6 @@ __all__ = [
     "b_sequence",
     "psi",
     "check_intertwining",
-    "solve_recurrence_al",
-    "solve_recurrence_af",
     "IdentityReport",
     "phi_subst",
     "verify_identity",

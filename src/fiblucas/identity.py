@@ -43,7 +43,22 @@ def _check_family(family: str) -> None:
 def _pack(img: Poly, b: int) -> int:
     """Kronecker packing of a polynomial in x with integer coefficients
     (as family polynomials have): its value at x = 2^b."""
-    return sum(c << (b * (m[0][1] if m else 0)) for m, c in img.numerators()[0].items())
+    return _pack_terms([(m[0][1] if m else 0, c) for m, c in img.numerators()[0].items()], b, 0)
+
+
+def _pack_terms(terms: list[tuple[int, int]], b: int, low: int) -> int:
+    """sum c << (b*(e-low)) over (e, c) pairs.  Past 32 terms, by halves
+    in e: the high half is packed, shifted and added to the low half, so
+    the cost is not quadratic in the number of terms as one running
+    sum's is."""
+    if len(terms) <= 32:
+        return sum(c << (b * (e - low)) for e, c in terms)
+    terms = sorted(terms)
+    half = len(terms) // 2
+    mid = terms[half][0]
+    return (_pack_terms(terms[half:], b, mid) << (b * (mid - low))) + _pack_terms(
+        terms[:half], b, low
+    )
 
 
 def _unpack(packed: int, b: int) -> list[int]:

@@ -13,18 +13,16 @@ CLI read.  Each table can be computed three independent ways, and all
 three must agree:
 
 recurrence ("direct") route.  Matching coefficients in the intertwining
-condition gives, per diagonal s, a first-order recurrence with boundary
-alpha_{2s}^(s) = 0:
+condition gives, per diagonal s and with a = 2s, a first-order
+recurrence with boundary alpha_a^(s) = 0:
 
-    AL:  (n-2s) alpha_n^(s) = n (alpha_{n-1}^(s) + alpha_{n-1}^(s-1))
-    AF:  alpha_n^(s) = n (alpha_{n-1}^(s)/(n-2s)
-                          + alpha_{n-1}^(s-1)/(n-2s+2))
+    AL:  (n-a) alpha_n^(s) = n (alpha_{n-1}^(s) + alpha_{n-1}^(s-1))
+    AF:  (n-a) T_n^(s)     = n alpha_{n-1}^(s),
+         alpha^(s) = T^(s) + T^(s-1),  T^(0) = 1
 
-solved in closed form by solve_recurrence_al / solve_recurrence_af for
-n >= 2s.  Below 2s the same recurrence is run backwards; for AF the
-denominator-free form (n-2s) * T_n^(s) = n * alpha_{n-1}^(s), where
-T_n^(s) = sum_j (-1)^j alpha_n^(s-j), avoids the pole of the divided
-form at n = 2s-2.
+The route steps it in ints, forward for n > a and backward below a
+(alpha_{n-1} from alpha_n); the AF form has no pole at n = a-2, where
+dividing alpha^(s-1) by n-a+2 would.
 
 beta route.  Writing alpha in the falling-factorial basis,
 
@@ -43,16 +41,15 @@ Bessel-type series (beta_i^(s) = (-1)^{s-i} b_i / (s-i)!):
     AL:  sum b_s z^s = 1 / J_0(2 sqrt z)
     AF:  sum b_s z^s = sqrt z / J_1(2 sqrt z)
 
-Every alpha_n^(s) is an integer, and the beta and series routes check
-it cell by cell.  Either route supplies the row beta_i^(s) over its lcm
-denominator den, as integer numerators B_i.  A cell is then summed in
-ints: the first falling factorial n^{falling a} (a = s for AL, s-1 for
-AF) comes from falling_factorial, each next one from the last by a
-factor n-a-i, and the AF lead n-2s+1 multiplies the sum.  The sum is
-divided by den exactly; a nonzero remainder is an internal error
-(ArithmeticError, not ValueError), never a result.  The recurrence
-route keeps its Fraction arithmetic, so its tables hold Fractions where
-the other two hold ints; they compare by value.
+Every alpha_n^(s) is an integer, and every route checks it: all three
+tables hold ints.  The beta and series routes supply the row beta_i^(s)
+over its lcm denominator den, as integer numerators B_i.  A cell is then
+summed in ints: the first falling factorial n^{falling a} (a = s for AL,
+s-1 for AF) comes from falling_factorial, each next one from the last by
+a factor n-a-i, and the AF lead n-2s+1 multiplies the sum.  That sum
+over den, and every recurrence step, is divided in one place,
+_exact_div; a nonzero remainder is an internal error (ArithmeticError,
+not ValueError), never a result.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .derivops import Derivation
 from .exactnum import bessel_j0_series, bessel_j1_series, falling_factorial
@@ -73,8 +70,6 @@ __all__ = [
     "ROUTE_BETA",
     "ROUTE_SERIES",
     "ROUTES",
-    "solve_recurrence_al",
-    "solve_recurrence_af",
     "b_sequence",
     "alpha_rows",
     "alpha",
@@ -96,7 +91,7 @@ ROUTES = (ROUTE_RECURRENCE, ROUTE_BETA, ROUTE_SERIES)
 _MEMO_SIZE = 32
 # Size limit on every table, scalar entry points included, rejected up
 # front rather than run for minutes: n <= 100 and 2s <= 100.
-# `intertwine --max 100 --route all` takes about 0.6 s for either kind
+# `intertwine --max 100 --route all` takes about 0.3 s for either kind
 # on CPython 3.11 and a 2-vCPU x86-64 VM.
 _MAX_INTERTWINE_N = 100
 
@@ -113,46 +108,6 @@ def _check_args(kind: str, route: str = ROUTE_BETA, n: int = 0, s: int = 0) -> N
             f"intertwining tables are limited to n <= {_MAX_INTERTWINE_N} and "
             f"s <= {_MAX_INTERTWINE_N // 2}, got n = {n}, s = {s}"
         )
-
-
-def solve_recurrence_al(
-    a: int, g: Sequence[Fraction], n_max: int
-) -> list[Fraction]:
-    """Solve (n-a) x_n = n (x_{n-1} + g_{n-1}), x_a = 0, for n = a..n_max.
-
-    Closed form x_n = n^{falling a} * sum_{i=a..n-1} g_i / i^{falling a}.
-    ``g`` is indexed absolutely and must cover a..n_max-1.  Returns the
-    values x_a..x_{n_max} (so result[j] is x_{a+j}).
-    """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    return _solve_forward(a, n_max, lambda i: Fraction(g[i]) / falling_factorial(i, a))
-
-
-def solve_recurrence_af(
-    s: int, g: Sequence[Fraction], n_max: int
-) -> list[Fraction]:
-    """Solve x_n = n (x_{n-1}/(n-s) + g_{n-1}/(n-s+2)), x_s = 0.
-
-    Closed form x_n = n^{falling s}
-        * sum_{i=s..n-1} g_i / (i^{falling s-1} * (i-s+3)),
-    valid for s >= 2 (every factor below stays nonzero for i >= s).
-    Returns x_s..x_{n_max}.
-    """
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    return _solve_forward(
-        s, n_max, lambda i: Fraction(g[i]) / (falling_factorial(i, s - 1) * (i - s + 3))
-    )
-
-
-def _solve_forward(a: int, n_max: int, term) -> list[Fraction]:
-    """x_n = n^{falling a} * sum_{i=a..n-1} term(i) for n = a..n_max."""
-    out, acc = [Fraction(0)], Fraction(0)
-    for n in range(a + 1, n_max + 1):
-        acc += term(n - 1)
-        out.append(falling_factorial(n, a) * acc)
-    return out if n_max >= a else []
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -187,31 +142,44 @@ def _beta_rows(kind: str, s_max: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+def _exact_div(num: int, den: int, kind: str, n: int, s: int) -> int:
+    """num / den for a step of alpha_n^(s); every route divides here.  A
+    nonzero remainder is an internal error (ArithmeticError, not
+    ValueError), never a result."""
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{kind} alpha_{n}^({s}): {num}/{den} is not an integer")
+    return value
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _recurrence_rows(
-    kind: str, s_max: int, n_max: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """alpha_n^(s) tables (rows indexed by s, columns by n) from the
-    recurrences: forward by the closed solvers, backward below n = 2s
-    by the recurrence itself."""
+def _recurrence_rows(kind: str, s_max: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """alpha_n^(s) tables (rows indexed by s, columns by n) stepped from
+    the recurrences in ints: forward from alpha_{2s}^(s) = 0, then
+    backward below n = 2s."""
     n_eff = max(n_max, 2 * s_max)
-    ones = tuple(Fraction(1) for _ in range(n_eff + 1))
-    rows: list[tuple[Fraction, ...]] = [ones]
-    t_rows: list[tuple[Fraction, ...]] = [ones]  # AF only
+    ones = (1,) * (n_eff + 1)
+    rows = [ones]
+    t_prev = ones  # AF only: T^(s-1)
     for s in range(1, s_max + 1):
         a = 2 * s
-        prev = rows[s - 1]
-        row = [Fraction(0)] * (n_eff + 1)
+        row = [0] * (n_eff + 1)
         if kind == AL:
-            row[a:] = solve_recurrence_al(a, prev, n_eff)
+            prev = rows[s - 1]
+            for n in range(a + 1, n_eff + 1):
+                row[n] = _exact_div(n * (row[n - 1] + prev[n - 1]), n - a, kind, n, s)
             for m in range(a - 1, -1, -1):
-                row[m] = Fraction(m + 1 - a, m + 1) * row[m + 1] - prev[m]
+                row[m] = _exact_div((m + 1 - a) * row[m + 1], m + 1, kind, m, s) - prev[m]
         else:
-            t_prev = t_rows[s - 1]
-            row[a:] = solve_recurrence_af(a, prev, n_eff)
+            t = [0] * (n_eff + 1)  # T^(s) = alpha^(s) - T^(s-1); alpha_a^(s) = 0
+            t[a] = -t_prev[a]
+            for n in range(a + 1, n_eff + 1):
+                t[n] = _exact_div(n * row[n - 1], n - a, kind, n, s)
+                row[n] = t[n] + t_prev[n]
             for m in range(a - 1, -1, -1):
-                row[m] = Fraction(m + 1 - a, m + 1) * (row[m + 1] - t_prev[m + 1])
-            t_rows.append(tuple(row[i] - t_prev[i] for i in range(n_eff + 1)))
+                row[m] = _exact_div((m + 1 - a) * t[m + 1], m + 1, kind, m, s)
+                t[m] = row[m] - t_prev[m]
+            t_prev = t
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -241,20 +209,15 @@ def _alpha_from_beta(kind: str, row: tuple[list[int], int], n: int, s: int) -> i
         f *= n - a - i
     if kind == AF:
         total *= n - 2 * s + 1
-    value, rem = divmod(total, den)
-    if rem:
-        raise ArithmeticError(
-            f"{kind} alpha_{n}^({s}) = {total}/{den} is not an integer"
-        )
-    return value
+    return _exact_div(total, den, kind, n, s)
 
 
 def alpha_rows(
     kind: str, s_max: int, n_max: int, route: str = ROUTE_BETA
-) -> tuple[tuple[int | Fraction, ...], ...]:
-    """alpha_n^(s) by one route as rows[s][n]: s = 0..s_max (row 0 is all
-    ones), n = 0..max(n_max, 2*s_max); no route reads another's table.
-    The beta and series tables hold ints, the recurrence table Fractions."""
+) -> tuple[tuple[int, ...], ...]:
+    """alpha_n^(s) by one route as rows[s][n] of ints: s = 0..s_max (row 0
+    is all ones), n = 0..max(n_max, 2*s_max); no route reads another's
+    table, and every division goes through the one exact check."""
     if s_max < 0 or n_max < 0:
         raise ValueError("s_max and n_max must be >= 0")
     _check_args(kind, route, n_max, s_max)
@@ -268,7 +231,7 @@ def alpha_rows(
     return tuple(rows)
 
 
-def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> int | Fraction:
+def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> int:
     """The intertwining coefficient alpha_n^(s) by the requested route;
     the beta and series routes evaluate the one cell, the recurrence
     route reads the table of s sized to the limit."""

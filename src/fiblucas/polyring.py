@@ -55,9 +55,11 @@ def var_name(v: int) -> str:
 
 
 def _parse_var(name: str) -> int:
+    """The id of "x" or "x<n>": ASCII digits, no leading zero, so that
+    each generator has exactly one name."""
     if name == "x":
         return X
-    if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
+    if isinstance(name, str) and re.fullmatch("x(0|[1-9][0-9]*)", name):
         return int(name[1:])
     raise ValueError(f"unknown variable name: {name!r}")
 
@@ -436,11 +438,14 @@ class Poly:
             var_name(v)
             for v in sorted(self.variables(), key=_var_key)
         ]
+        den = self._den
         try:
-            terms = [
-                {"coeff": str(c), "exps": {var_name(v): e for v, e in m}}
-                for m, c in self.sorted_terms()
-            ]
+            terms = []
+            for m in sorted(self._nums, key=_mono_sort_key):
+                c = self._nums[m]
+                g = gcd(c, den)  # "p/q" in lowest terms, as str(Fraction) writes it
+                coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
+                terms.append({"coeff": coeff, "exps": {var_name(v): e for v, e in m}})
         except ValueError:
             # str() refuses ints longer than the interpreter's digit
             # limit, and Fraction() would refuse to read them back

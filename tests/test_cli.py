@@ -178,6 +178,14 @@ def test_bad_input_file_exits_two(tmp_path, capsys):
             assert code == 2, (cmd, doc)
             assert "error:" in err
 
+    # an alias of x1, an Arabic-Indic digit one, a superscript two
+    for i, exps in enumerate(({"x1": 1, "x01": 2}, {"x\u0661": 1}, {"x\u00b2": 1})):
+        path = tmp_path / f"name{i}.json"
+        path.write_text(json.dumps({"terms": [{"coeff": "1", "exps": exps}]}), encoding="utf-8")
+        code, out, err = run(capsys, "identity", "--family", "lucas", "--input", str(path))
+        assert (code, out) == (2, ""), exps
+        assert "unknown variable name" in err
+
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000, encoding="utf-8")
     code, _, err = run(capsys, "kernel-check", "--family", "fib", "--input", str(deep))

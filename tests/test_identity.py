@@ -112,6 +112,19 @@ def test_pack_unpack_round_trip_at_digit_extremes():
     assert _unpack(_pack(Poly.zero(), b), b) == []
 
 
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_pack_by_halves_matches_plain_sum(family):
+    # the packed int is the same as one running sum's, past the 32-term
+    # base case and below it, carries between digits included
+    rng = random.Random(f"pack-{family}")
+    indices = [0, 1, 2, 63, 64, 65, 66, 129, _MAX_FAMILY_INDEX] + rng.sample(range(3, 700), 12)
+    for n in indices:
+        img = family_poly(family, n)
+        for b in (1, 2, 7, 64, rng.randint(65, 3000)):
+            plain = sum(c << (b * (m[0][1] if m else 0)) for m, c in img.numerators()[0].items())
+            assert _pack(img, b) == plain, (family, n, b)
+
+
 def test_phi_and_scan_size_limits():
     with pytest.raises(ValueError, match="family index limit"):
         phi_subst("fibonacci", g(_MAX_FAMILY_INDEX + 1))

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 import pytest
 
@@ -26,8 +27,6 @@ from fiblucas.intertwine import (
     b_sequence,
     check_intertwining,
     psi,
-    solve_recurrence_af,
-    solve_recurrence_al,
 )
 from fiblucas.polyring import Poly
 
@@ -36,7 +35,82 @@ def g(n):
     return Poly.gen(n)
 
 
-# ---- recurrence solvers -------------------------------------------------
+# ---- the Fraction recurrence reference -----------------------------------
+#
+# The recurrence route as it was built before it stepped in ints: closed
+# forward solvers over Fractions, and the backward recurrence below 2s.
+# Kept verbatim as the reference the integer tables are checked against.
+
+
+def solve_recurrence_al(
+    a: int, g: Sequence[Fraction], n_max: int
+) -> list[Fraction]:
+    """Solve (n-a) x_n = n (x_{n-1} + g_{n-1}), x_a = 0, for n = a..n_max.
+
+    Closed form x_n = n^{falling a} * sum_{i=a..n-1} g_i / i^{falling a}.
+    ``g`` is indexed absolutely and must cover a..n_max-1.  Returns the
+    values x_a..x_{n_max} (so result[j] is x_{a+j}).
+    """
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    return _solve_forward(a, n_max, lambda i: Fraction(g[i]) / falling_factorial(i, a))
+
+
+def solve_recurrence_af(
+    s: int, g: Sequence[Fraction], n_max: int
+) -> list[Fraction]:
+    """Solve x_n = n (x_{n-1}/(n-s) + g_{n-1}/(n-s+2)), x_s = 0.
+
+    Closed form x_n = n^{falling s}
+        * sum_{i=s..n-1} g_i / (i^{falling s-1} * (i-s+3)),
+    valid for s >= 2 (every factor below stays nonzero for i >= s).
+    Returns x_s..x_{n_max}.
+    """
+    if s < 2:
+        raise ValueError("s must be >= 2")
+    return _solve_forward(
+        s, n_max, lambda i: Fraction(g[i]) / (falling_factorial(i, s - 1) * (i - s + 3))
+    )
+
+
+def _solve_forward(a: int, n_max: int, term) -> list[Fraction]:
+    """x_n = n^{falling a} * sum_{i=a..n-1} term(i) for n = a..n_max."""
+    out, acc = [Fraction(0)], Fraction(0)
+    for n in range(a + 1, n_max + 1):
+        acc += term(n - 1)
+        out.append(falling_factorial(n, a) * acc)
+    return out if n_max >= a else []
+
+
+def _fraction_recurrence_rows(
+    kind: str, s_max: int, n_max: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """alpha_n^(s) tables (rows indexed by s, columns by n) from the
+    recurrences: forward by the closed solvers, backward below n = 2s
+    by the recurrence itself."""
+    n_eff = max(n_max, 2 * s_max)
+    ones = tuple(Fraction(1) for _ in range(n_eff + 1))
+    rows: list[tuple[Fraction, ...]] = [ones]
+    t_rows: list[tuple[Fraction, ...]] = [ones]  # AF only
+    for s in range(1, s_max + 1):
+        a = 2 * s
+        prev = rows[s - 1]
+        row = [Fraction(0)] * (n_eff + 1)
+        if kind == AL:
+            row[a:] = solve_recurrence_al(a, prev, n_eff)
+            for m in range(a - 1, -1, -1):
+                row[m] = Fraction(m + 1 - a, m + 1) * row[m + 1] - prev[m]
+        else:
+            t_prev = t_rows[s - 1]
+            row[a:] = solve_recurrence_af(a, prev, n_eff)
+            for m in range(a - 1, -1, -1):
+                row[m] = Fraction(m + 1 - a, m + 1) * (row[m + 1] - t_prev[m + 1])
+            t_rows.append(tuple(row[i] - t_prev[i] for i in range(n_eff + 1)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# The reference's closed forms, pinned on their own.
 
 
 def test_solve_recurrence_al_with_constant_forcing():
@@ -235,10 +309,52 @@ def test_alpha_rows_identical_across_routes(n_max):
         # every column n = 0..max(n_max, 2 s_max), the n < s ones included
         assert all(len(row) == max(n_max, 2 * s_max) + 1 for row in tables[0])
         assert tables[0][0] == (1,) * len(tables[0][0])
-        # the beta and series tables hold ints, which compare by value
-        # with the recurrence route's Fractions
-        assert all(type(v) is int for t in tables[1:] for row in t for v in row)
+        # all three routes hold ints, never Fractions equal to ints
+        assert all(type(v) is int for t in tables for row in t for v in row)
         assert tables[0] == tables[1] == tables[2], kind
+
+
+@pytest.mark.parametrize("kind", [AL, AF])
+def test_recurrence_tables_match_fraction_reference(kind):
+    # every cell the size limit allows, and tables of other shapes
+    top = _MAX_INTERTWINE_N
+    for s_max, n_max in ((top // 2, top), (1, 0), (3, 10), (7, top), (top // 2, 0)):
+        table = _recurrence_rows(kind, s_max, n_max)
+        reference = _fraction_recurrence_rows(kind, s_max, n_max)
+        assert all(type(v) is int for row in table for v in row)
+        assert len(table) == len(reference) == s_max + 1
+        for s, (row, ref) in enumerate(zip(table, reference)):
+            assert len(row) == len(ref) == max(n_max, 2 * s_max) + 1
+            for n, (v, r) in enumerate(zip(row, ref)):
+                assert v == r, (kind, s_max, n_max, s, n)
+
+
+def test_exact_div_is_the_one_exact_check():
+    assert intertwine._exact_div(-12, 4, AL, 5, 2) == -3
+    with pytest.raises(ArithmeticError, match=r"AF alpha_9\^\(3\): 7/2 is not an integer") as exc:
+        intertwine._exact_div(7, 2, AF, 9, 3)
+    assert not isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("kind", [AL, AF])
+def test_non_exact_recurrence_step_is_an_internal_error(monkeypatch, capsys, kind):
+    # one more on the numerator of the step at n = 7, s = 2 (divisor 3)
+    exact_div = intertwine._exact_div
+
+    def off_by_one(num, den, kind, n, s):
+        return exact_div(num + ((n, s) == (7, 2)), den, kind, n, s)
+
+    monkeypatch.setattr(intertwine, "_exact_div", off_by_one)
+    _recurrence_rows.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=f"{kind} alpha_7\\^\\(2\\)"):
+            alpha_rows(kind, 3, 10, ROUTE_RECURRENCE)
+        code = cli.main(["intertwine", "--kind", kind, "--max", "10", "--route", "recurrence"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert "internal error: ArithmeticError" in err
+    finally:
+        _recurrence_rows.cache_clear()
 
 
 def test_table_memos_stay_bounded():

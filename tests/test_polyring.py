@@ -8,7 +8,15 @@ import pytest
 
 from conftest import random_fraction, random_poly, random_terms, random_x_poly
 from fiblucas.derivops import Derivation
-from fiblucas.polyring import Poly, PolyMatrix, X, divide_by_generator, mono_from_exps, mono_mul
+from fiblucas.polyring import (
+    Poly,
+    PolyMatrix,
+    X,
+    divide_by_generator,
+    mono_from_exps,
+    mono_mul,
+    var_name,
+)
 
 
 def g(n):
@@ -267,6 +275,11 @@ def test_json_merges_duplicate_terms():
         {"terms": [], "vars": 5},
         {"terms": [], "vars": [3]},
         {"vars": ["x1"], "terms": [{"coeff": 3, "exps": {"x1": 1}}]},
+        # one name per generator, in ASCII digits: x01 would alias x1
+        {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 1, "x01": 2}}]},
+        {"vars": ["x00"], "terms": []},
+        {"vars": ["x\u0661"], "terms": []},
+        {"vars": [], "terms": [{"coeff": "1", "exps": {"x\u00b2": 1}}]},
     ],
 )
 def test_json_bad_documents_rejected(doc):
@@ -429,6 +442,25 @@ def test_poly_matches_fraction_dict_oracle():
             assert _as_ref(got) == want, (name, p, q)
         assert p.constant_value() == P.get((), 0)
         assert p.is_zero() == (not P) and len(p) == len(P)
+
+
+def test_to_json_matches_fraction_dict_oracle():
+    # the coefficient strings are str() of the oracle's Fractions, in the
+    # order of sorted_terms, byte for byte; big numerators and
+    # denominators included
+    rng = random.Random(8083)
+    for i in range(200):
+        scale = Fraction(rng.randint(1, 10 ** (i % 30)), rng.randint(1, 10 ** (i % 25)))
+        terms = [(e, c * scale) for e, c in random_terms(rng, allow_x=True)]
+        p, P = _from_terms(terms), _ref(terms)
+        want = {
+            "vars": [var_name(v) for v in sorted(p.variables(), key=lambda v: (v == X, v))],
+            "terms": [
+                {"coeff": str(P[tuple(sorted(m))]), "exps": {var_name(v): e for v, e in m}}
+                for m, _ in p.sorted_terms()
+            ],
+        }
+        assert json.dumps(p.to_json()) == json.dumps(want), p
 
 
 def test_equal_polys_built_two_ways_hash_equal():
