@@ -15,7 +15,7 @@ import sys
 from . import families, identity, intertwine
 from .derivops import Derivation, kernel_member
 from .dixmier import cayley_closed, cayley_constructive
-from .polyring import Poly
+from .polyring import Poly, json_text
 
 _FAMILY = {"fib": families.FIBONACCI, "lucas": families.LUCAS, "appell": families.APPELL}
 
@@ -39,7 +39,7 @@ def _read_poly(source: str) -> Poly:
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json_text(doc))
 
 
 def build_parser() -> argparse.ArgumentParser:

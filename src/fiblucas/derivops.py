@@ -29,7 +29,7 @@ from math import lcm
 from typing import Mapping
 
 from .families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, derivative_terms
-from .polyring import Mono, Poly, mono_decrement, mul_into, var_name
+from .polyring import Mono, Poly, clip, mono_decrement, mul_into, var_name
 
 __all__ = [
     "Derivation",
@@ -52,7 +52,8 @@ def builtin_image(kind: str, n: int) -> Poly:
         raise ValueError("generator index must be >= 0")
     if n > _MAX_FAMILY_INDEX:
         raise ValueError(
-            f"generator x{n} is past the derivation index limit {_MAX_FAMILY_INDEX}"
+            f"generator {clip(var_name(n), str)} is past the derivation index limit "
+            f"{_MAX_FAMILY_INDEX}"
         )
     return Poly.from_terms((((i, 1),), c) for i, c in derivative_terms(kind, n))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactnum import TruncatedSeries
-from .polyring import Poly
+from .polyring import Poly, clip
 
 __all__ = [
     "FIBONACCI",
@@ -59,7 +59,8 @@ def family_poly(kind: str, n: int) -> Poly:
     if n < 0:
         raise ValueError("family index must be >= 0")
     if n > _MAX_FAMILY_INDEX:
-        raise ValueError(f"family index {n} is past the family index limit {_MAX_FAMILY_INDEX}")
+        shown = clip(str(n), str)
+        raise ValueError(f"family index {shown} is past the family index limit {_MAX_FAMILY_INDEX}")
     x = Poly.x()
     if kind == APPELL:
         return x ** n

@@ -10,7 +10,6 @@ against the expected odd/even pattern without ever assuming it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -19,7 +18,7 @@ from .derivops import Derivation, kernel_member
 from .dixmier import _check_cayley_args, cayley_closed
 from .families import _MAX_FAMILY_INDEX, FIBONACCI, LUCAS, family_poly
 from .intertwine import AL, psi
-from .polyring import Mono, Poly, PolyMatrix, X, divide_by_generator
+from .polyring import Mono, Poly, PolyMatrix, X, clip, divide_by_generator, json_text, var_name
 
 __all__ = [
     "IdentityReport",
@@ -127,7 +126,8 @@ def phi_subst(family: str, p: Poly) -> Poly:
     gens = p.generator_vars()
     if gens and max(gens) > _MAX_FAMILY_INDEX:
         raise ValueError(
-            f"generator x{max(gens)} is past the family index limit {_MAX_FAMILY_INDEX}"
+            f"generator {clip(var_name(max(gens)), str)} is past the family index limit "
+            f"{_MAX_FAMILY_INDEX}"
         )
     degree = _subst_degree(family, p)
     if degree > _MAX_SUBST_DEGREE:
@@ -328,7 +328,7 @@ def poly_to_latex(p: Poly, family: str) -> str:
 def emit(report: IdentityReport, fmt: str) -> str:
     """Serialize a report: machine JSON or a human LaTeX identity."""
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2)
+        return json_text(report.to_json())
     if fmt == "latex":
         lhs = poly_to_latex(report.input, report.family)
         if report.is_constant:

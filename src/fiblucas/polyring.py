@@ -16,6 +16,10 @@ The canonical term order used for printing and serialization is graded
 lexicographic: higher total degree first, ties broken by comparing
 exponents variable by variable in the order x_0, x_1, ..., x (the
 distinguished x always last), larger exponent first.
+
+JSON has one reader, Poly.from_json, one pass into integer numerators
+(canonical "p" and "p/q" coefficients read by int(), others by
+Fraction()), and one writer, json_text, equal to json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, inf, lcm
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "mul_into",
     "mono_decrement",
     "divide_by_generator",
+    "json_text",
 ]
 
 X = -1  # variable id of the distinguished indeterminate x
@@ -44,14 +50,18 @@ Mono = tuple[tuple[int, int], ...]
 
 _VALID_COEFF = (int, Fraction)
 
-
-def _var_key(v: int) -> tuple[int, int]:
-    # generators rank before x; generators among themselves by index
-    return (1, 0) if v == X else (0, v)
+_CANONICAL_COEFF = re.compile("(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch  # "p" or "p/q", q > 0
 
 
 def var_name(v: int) -> str:
     return "x" if v == X else f"x{v}"
+
+
+def clip(text, fmt=repr) -> str:
+    """How errors show input: fmt(text), or fmt of its first 40 characters and its length."""
+    if isinstance(text, str) and len(text) > 40:
+        return f"{fmt(text[:40])}... ({len(text)} characters)"
+    return fmt(text)
 
 
 def _parse_var(name: str) -> int:
@@ -60,8 +70,10 @@ def _parse_var(name: str) -> int:
     if name == "x":
         return X
     if isinstance(name, str) and re.fullmatch("x(0|[1-9][0-9]*)", name):
+        if 0 < (limit := sys.get_int_max_str_digits()) < len(name) - 1:
+            raise ValueError(f"generator {clip(name)} has an index of more than {limit} digits")
         return int(name[1:])
-    raise ValueError(f"unknown variable name: {name!r}")
+    raise ValueError(f"unknown variable name: {clip(name)}")
 
 
 def mono_from_exps(exps: Mapping[int, int]) -> Mono:
@@ -75,24 +87,28 @@ def mono_from_exps(exps: Mapping[int, int]) -> Mono:
             raise ValueError(f"negative exponent for {var_name(v)}")
         if e > 0:
             items.append((v, e))
-    items.sort(key=lambda ve: _var_key(ve[0]))
+    items.sort(key=lambda ve: (ve[0] == X, ve[0]))  # x ranks after every generator
     return tuple(items)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Product of two canonical monomials."""
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[int, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    # plain tuple order puts X = -1 first; _var_key order puts it last
-    items = sorted(exps.items())
-    if items[0][0] == X:
-        items.append(items.pop(0))
-    return tuple(items)
+    """Product of two canonical monomials: one merge of their sorted pairs."""
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i, j = i + 1, j + 1
+        elif vb == X or (va != X and va < vb):  # x ranks after every generator
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _merge(acc: dict, terms: Iterable, scale: int = 1) -> dict:
@@ -136,12 +152,14 @@ def mono_decrement(m: Mono, v: int) -> Mono:
     return tuple(out)
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_sort_key(m: Mono):
-    return (-_mono_degree(m), tuple((_var_key(v), -e) for v, e in m))
+def _mono_sort_key(m: Mono) -> tuple:
+    """(-degree, v0, -e0, v1, -e1, ...), x ranking after every generator."""
+    key = [0]
+    for v, e in m:
+        key[0] -= e
+        key.append(v if v != X else inf)  # inf: above every int
+        key.append(-e)
+    return tuple(key)
 
 
 class Poly:
@@ -248,7 +266,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._nums:
             return -1
-        return max(_mono_degree(m) for m in self._nums)
+        return max(sum(e for _, e in m) for m in self._nums)
 
     def degree_in(self, v: int) -> int:
         """Largest exponent of variable v across terms (0 if absent)."""
@@ -434,18 +452,15 @@ class Poly:
     def to_json(self) -> dict:
         """Canonical JSON document: variable names, ordered terms,
         decimal-string fraction coefficients ("p/q" or "p")."""
-        names = [
-            var_name(v)
-            for v in sorted(self.variables(), key=_var_key)
-        ]
-        den = self._den
+        name = {v: var_name(v) for v in sorted(self.variables(), key=lambda v: (v == X, v))}
+        nums, den = self._nums, self._den
         try:
             terms = []
-            for m in sorted(self._nums, key=_mono_sort_key):
-                c = self._nums[m]
+            for m in sorted(nums, key=_mono_sort_key):
+                c = nums[m]
                 g = gcd(c, den)  # "p/q" in lowest terms, as str(Fraction) writes it
                 coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
-                terms.append({"coeff": coeff, "exps": {var_name(v): e for v, e in m}})
+                terms.append({"coeff": coeff, "exps": {name[v]: e for v, e in m}})
         except ValueError:
             # str() refuses ints longer than the interpreter's digit
             # limit, and Fraction() would refuse to read them back
@@ -453,47 +468,73 @@ class Poly:
                 f"a coefficient has more than {sys.get_int_max_str_digits()} "
                 "decimal digits, the limit on JSON coefficients"
             ) from None
-        return {"vars": names, "terms": terms}
+        return {"vars": list(name.values()), "terms": terms}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Poly":
-        if not isinstance(doc, Mapping):
+        """One pass: each name parsed once, terms merged over their lcm denominator."""
+        if type(doc) is not dict and not isinstance(doc, Mapping):
             raise ValueError("polynomial JSON must be an object")
         if "terms" not in doc or not isinstance(doc["terms"], list):
             raise ValueError('polynomial JSON needs a "terms" array')
         if not isinstance(doc.get("vars", []), list):
             raise ValueError('"vars" must be an array of variable names')
-        for name in doc.get("vars", []):
-            _parse_var(name)  # validates
-        pairs: list[tuple[Mono, Fraction]] = []
+        ids = {name: _parse_var(name) for name in doc.get("vars", [])}  # validates
+        rows: list[tuple[Mono, int, int]] = []
         for t in doc["terms"]:
-            if not isinstance(t, Mapping) or "coeff" not in t:
+            if type(t) is not dict and not isinstance(t, Mapping) or "coeff" not in t:
                 raise ValueError("each term needs a coeff and exps")
             c = t["coeff"]
             if not isinstance(c, str):
                 raise ValueError(f"coefficient must be a string, got {c!r}")
             try:
-                c = Fraction(c)
+                pq = _CANONICAL_COEFF(c)
+                p, q = (int(pq[1]), int(pq[2] or 1)) if pq else Fraction(c).as_integer_ratio()
             except (ValueError, ZeroDivisionError) as exc:
-                # quote at most 40 characters; name the digit limit if past it
-                shown = repr(c) if len(c) <= 40 else f"{c[:40]!r}... ({len(c)} characters)"
+                # name the digit limit if past it
                 limit = sys.get_int_max_str_digits()
                 if limit and re.search(rf"\d{{{limit + 1}}}", c):
                     raise ValueError(
-                        f"coefficient {shown} has more than {limit} decimal digits, "
+                        f"coefficient {clip(c)} has more than {limit} decimal digits, "
                         "the limit on JSON coefficients"
                     ) from None
-                raise ValueError(f"bad coefficient {shown}") from exc
+                raise ValueError(f"bad coefficient {clip(c)}") from exc
             exps = t.get("exps", {})
-            if not isinstance(exps, Mapping):
+            if type(exps) is not dict and not isinstance(exps, Mapping):
                 raise ValueError("exps must be an object")
-            parsed: dict[int, int] = {}
+            mono = []
             for name, e in exps.items():
                 if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
                     raise ValueError(f"bad exponent {e!r} for {name!r}")
-                parsed[_parse_var(name)] = e
-            pairs.append((mono_from_exps(parsed), c))
-        return cls.from_terms(pairs)
+                if name not in ids:
+                    ids[name] = _parse_var(name)
+                mono.append((ids[name], e))
+            mono.sort()  # distinct ids, as names and ids correspond one to one
+            if mono and mono[0][0] == X:  # x ranks last
+                mono.append(mono.pop(0))
+            rows.append((tuple(mono), p, q))
+        den = lcm(*(q for _, _, q in rows))
+        return cls._make(_merge({}, ((m, p * (den // q)) for m, p, q in rows)), den)
+
+
+def json_text(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2) byte for byte for str, int, bool, None, list and dict, but
+    without the pure-Python encoder indent= selects; a TypeError on anything else."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None or isinstance(doc, bool):
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    inner = indent + "  "
+    if isinstance(doc, (list, tuple)):
+        items, ends = [json_text(v, inner) for v in doc], "[]"
+    elif isinstance(doc, dict):
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def divide_by_generator(p: Poly, v: int) -> Poly | None:

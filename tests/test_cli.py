@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -321,3 +322,52 @@ def test_traced_benchmark_launcher_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_huge_generator_index_is_shown_bounded(tmp_path, capsys):
+    # an index past the int-to-str digit limit is refused by the reader with
+    # an error of our own; a long one below it is quoted to 40 characters
+    limit = sys.get_int_max_str_digits()
+    for digits, cmd, err_want in (
+        (5000, "identity",
+         f"generator {'x' + '1' * 39!r}... (5001 characters) has an index of more than "
+         f"{limit} digits"),
+        (4000, "identity",
+         f"generator x{'1' * 39}... (4001 characters) is past the family index limit "
+         f"{_MAX_FAMILY_INDEX}"),
+        (4000, "kernel-check",
+         f"generator x{'1' * 39}... (4001 characters) is past the derivation index limit "
+         f"{_MAX_FAMILY_INDEX}"),
+    ):
+        name = "x" + "1" * digits
+        path = tmp_path / "huge.json"
+        doc = {"vars": [name], "terms": [{"coeff": "1", "exps": {name: 1}}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, cmd, "--family", "lucas", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {err_want}\n"), (digits, cmd)
+
+
+def test_roundtrip_chain_output_is_indented_json(tmp_path):
+    # the benchmark's roundtrip chain as subprocesses: each stdout is
+    # json.dumps(doc, indent=2) byte for byte, and the identity constant is
+    # q*c_n + r with c_30 = 0 (Fibonacci) and 2 (Lucas)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def cli_out(*args):
+        res = subprocess.run([sys.executable, "-m", "fiblucas", *args],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (res.returncode, res.stderr) == (0, ""), args
+        doc = json.loads(res.stdout)
+        assert res.stdout == json.dumps(doc, indent=2) + "\n", args
+        return doc
+
+    q, r = Fraction(-37, 53), Fraction(29, 11)
+    for family, c_n in (("fib", 0), ("lucas", 2)):
+        c = Poly.from_json(cli_out("cayley", "--family", family, "--n", "30", "--route", "both"))
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps((q * c + r).to_json()), encoding="utf-8")
+        member = cli_out("kernel-check", "--family", family, "--input", str(path))
+        assert member == {"in_kernel": True}
+        doc = cli_out("identity", "--family", family, "--input", str(path))
+        assert (doc["is_constant"], doc["constant_value"]) == (True, str(q * c_n + r))

@@ -1,8 +1,11 @@
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from typing import Mapping
 
 import pytest
 
@@ -12,7 +15,10 @@ from fiblucas.polyring import (
     Poly,
     PolyMatrix,
     X,
+    _mono_sort_key,
+    _parse_var,
     divide_by_generator,
+    json_text,
     mono_from_exps,
     mono_mul,
     var_name,
@@ -258,30 +264,30 @@ def test_json_merges_duplicate_terms():
     assert Poly.from_json(doc) == Poly.gen(1)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        [],
-        {"vars": []},
-        {"vars": ["y0"], "terms": []},
-        {"vars": [], "terms": [{"exps": {}}]},
-        {"vars": [], "terms": [{"coeff": "1/0", "exps": {}}]},
-        {"vars": [], "terms": [{"coeff": "a", "exps": {}}]},
-        {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 0}}]},
-        {"vars": [], "terms": [{"coeff": "1", "exps": {"z": 1}}]},
-        {"vars": [], "terms": [{"coeff": 0.1, "exps": {}}]},
-        {"vars": [], "terms": [{"coeff": True, "exps": {}}]},
-        {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": True}}]},
-        {"terms": [], "vars": 5},
-        {"terms": [], "vars": [3]},
-        {"vars": ["x1"], "terms": [{"coeff": 3, "exps": {"x1": 1}}]},
-        # one name per generator, in ASCII digits: x01 would alias x1
-        {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 1, "x01": 2}}]},
-        {"vars": ["x00"], "terms": []},
-        {"vars": ["x\u0661"], "terms": []},
-        {"vars": [], "terms": [{"coeff": "1", "exps": {"x\u00b2": 1}}]},
-    ],
-)
+_BAD_DOCUMENTS = [
+    [],
+    {"vars": []},
+    {"vars": ["y0"], "terms": []},
+    {"vars": [], "terms": [{"exps": {}}]},
+    {"vars": [], "terms": [{"coeff": "1/0", "exps": {}}]},
+    {"vars": [], "terms": [{"coeff": "a", "exps": {}}]},
+    {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 0}}]},
+    {"vars": [], "terms": [{"coeff": "1", "exps": {"z": 1}}]},
+    {"vars": [], "terms": [{"coeff": 0.1, "exps": {}}]},
+    {"vars": [], "terms": [{"coeff": True, "exps": {}}]},
+    {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": True}}]},
+    {"terms": [], "vars": 5},
+    {"terms": [], "vars": [3]},
+    {"vars": ["x1"], "terms": [{"coeff": 3, "exps": {"x1": 1}}]},
+    # one name per generator, in ASCII digits: x01 would alias x1
+    {"vars": [], "terms": [{"coeff": "1", "exps": {"x1": 1, "x01": 2}}]},
+    {"vars": ["x00"], "terms": []},
+    {"vars": ["x\u0661"], "terms": []},
+    {"vars": [], "terms": [{"coeff": "1", "exps": {"x\u00b2": 1}}]},
+]
+
+
+@pytest.mark.parametrize("doc", _BAD_DOCUMENTS)
 def test_json_bad_documents_rejected(doc):
     with pytest.raises(ValueError):
         Poly.from_json(doc)
@@ -495,3 +501,207 @@ def test_custom_derivation_with_rational_images_matches_oracle():
             p, P = d(p), _ref_derive(images, P)
             _assert_primitive(p)
             assert _as_ref(p) == P
+
+
+# ---- the JSON reader and writer, and monomial order and product, against
+# the code they replaced ----------------------------------------------------
+
+
+def _reference_from_json(doc: Mapping) -> Poly:
+    """Poly.from_json as it was before the one-pass reader, kept verbatim."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("polynomial JSON must be an object")
+    if "terms" not in doc or not isinstance(doc["terms"], list):
+        raise ValueError('polynomial JSON needs a "terms" array')
+    if not isinstance(doc.get("vars", []), list):
+        raise ValueError('"vars" must be an array of variable names')
+    for name in doc.get("vars", []):
+        _parse_var(name)  # validates
+    pairs: list[tuple[tuple, Fraction]] = []
+    for t in doc["terms"]:
+        if not isinstance(t, Mapping) or "coeff" not in t:
+            raise ValueError("each term needs a coeff and exps")
+        c = t["coeff"]
+        if not isinstance(c, str):
+            raise ValueError(f"coefficient must be a string, got {c!r}")
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:
+            # quote at most 40 characters; name the digit limit if past it
+            shown = repr(c) if len(c) <= 40 else f"{c[:40]!r}... ({len(c)} characters)"
+            limit = sys.get_int_max_str_digits()
+            if limit and re.search(rf"\d{{{limit + 1}}}", c):
+                raise ValueError(
+                    f"coefficient {shown} has more than {limit} decimal digits, "
+                    "the limit on JSON coefficients"
+                ) from None
+            raise ValueError(f"bad coefficient {shown}") from exc
+        exps = t.get("exps", {})
+        if not isinstance(exps, Mapping):
+            raise ValueError("exps must be an object")
+        parsed: dict[int, int] = {}
+        for name, e in exps.items():
+            if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
+                raise ValueError(f"bad exponent {e!r} for {name!r}")
+            parsed[_parse_var(name)] = e
+        pairs.append((mono_from_exps(parsed), c))
+    return Poly.from_terms(pairs)
+
+
+def _reference_var_key(v):
+    # generators rank before x; generators among themselves by index
+    return (1, 0) if v == X else (0, v)
+
+
+def _reference_mono_sort_key(m):
+    return (-sum(e for _, e in m), tuple((_reference_var_key(v), -e) for v, e in m))
+
+
+def _reference_mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    exps: dict[int, int] = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    # plain tuple order puts X = -1 first; the canonical order puts it last
+    items = sorted(exps.items())
+    if items[0][0] == X:
+        items.append(items.pop(0))
+    return tuple(items)
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except Exception as exc:  # the differential test compares the error itself
+        return (type(exc), str(exc))
+
+
+# coefficient spellings on and off the canonical "p" and "p/q" path, some
+# that Fraction() reads and some it rejects: the reader must agree on each
+_SPELLINGS = [
+    "+3", " 3/4 ", "1.5", "1e3", "007", "-0", "6/4", "1/00", "0/5", "-12/35",
+    "1_000", "\u0661\u0662", "\u0663/\u0664", "-\u0667", "3/", "/3", "-", "", "a",
+    "2/-3", "\u00b2", "7" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301, "7" * 4300,
+]
+
+
+def _mutated_documents(rng):
+    """Seeded documents: canonical ones from to_json, then the same with
+    other coefficient spellings, repeated terms and reordered exponents."""
+    docs = []
+    for i in range(300):
+        doc = random_poly(rng, max_var=12, allow_x=True, max_terms=8).to_json()
+        if i % 3:
+            for t in doc["terms"]:
+                if rng.random() < 0.3:
+                    t["coeff"] = rng.choice(_SPELLINGS)
+                if rng.random() < 0.5:
+                    t["exps"] = dict(reversed(list(t["exps"].items())))
+            if doc["terms"] and rng.random() < 0.5:
+                doc["terms"].append(dict(rng.choice(doc["terms"])))
+            if rng.random() < 0.2:
+                doc["vars"] = list(reversed(doc["vars"])) + ["x1000"]
+        docs.append(doc)
+    return docs
+
+
+def test_from_json_matches_reference_reader():
+    rng = random.Random(9100)
+    docs = _BAD_DOCUMENTS + _mutated_documents(rng) + [
+        {"terms": [{"coeff": c, "exps": {"x3": 1}}, {"coeff": "1/2", "exps": {"x": 2}}]}
+        for c in _SPELLINGS
+    ] + [
+        {"terms": [{"coeff": "1", "exps": {"x" + "1" * 5000: 1}}]},
+        {"vars": ["x" + "2" * 4000], "terms": []},
+        {"vars": ["q" * 100], "terms": []},
+        {"terms": [{"coeff": "1", "exps": {"x2": -1}}]},
+        {"terms": [{"coeff": "1"}, {"coeff": "-1"}]},
+        {"terms": [{"coeff": "1", "exps": []}]},
+        {"terms": ["x1"]},
+        {"terms": [], "vars": [["x1"]]},
+    ]
+    limit = sys.get_int_max_str_digits()
+    errors = 0
+    for doc in docs:
+        want = _outcome(_reference_from_json, doc)
+        got = _outcome(Poly.from_json, doc)
+        if isinstance(want, Poly):
+            _assert_primitive(got)
+        else:
+            errors += 1
+        assert got == want, doc
+    assert 50 < errors < len(docs) - 100
+    # the digit limit is named, not CPython's message
+    assert _outcome(Poly.from_json, {"terms": [{"coeff": "7" * 4301}]}) == (
+        ValueError,
+        f"coefficient {'7' * 40!r}... (4301 characters) has more than {limit} "
+        "decimal digits, the limit on JSON coefficients",
+    )
+
+
+def _random_json_doc(rng, depth=0):
+    leaves = [
+        lambda: rng.choice(["", "plain", 'q"uote', "back\\slash", "tab\tnew\nline",
+                            "\x00\x1f\x7f", "\u00e9t\u00e9", "\u2028", "\ud800",
+                            "\U0001f600", "/slash/"]),
+        lambda: rng.randint(-10 ** 6, 10 ** 6),
+        lambda: rng.choice([-1, 1]) * rng.getrandbits(5000),
+        lambda: rng.choice([True, False, None]),
+    ]
+    if depth < 4 and rng.random() < 0.5:
+        size = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            return [_random_json_doc(rng, depth + 1) for _ in range(size)]
+        return {leaves[0](): _random_json_doc(rng, depth + 1) for _ in range(size)}
+    return rng.choice(leaves)()
+
+
+def test_json_text_matches_json_dumps_indent_two():
+    rng = random.Random(9101)
+    docs = [{}, [], {"a": {}}, [[]], "", 0, -0, True, None, 2 ** 5000, -(2 ** 5000)]
+    docs += [_random_json_doc(rng) for _ in range(500)]
+    docs.append(random_poly(rng, allow_x=True).to_json())
+    for doc in docs:
+        assert json_text(doc) == json.dumps(doc, indent=2), doc
+    for bad in (1.5, Fraction(1, 2), {"a": [0.5]}, [Fraction(3)], {1: 2}, {"a": {3}}):
+        with pytest.raises(TypeError):
+            json_text(bad)
+
+
+def test_json_text_matches_json_dumps_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    docs = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(docs)
+    def check(doc):
+        assert json_text(doc) == json.dumps(doc, indent=2)
+
+    check()
+
+
+def _random_mono(rng):
+    gens = [rng.randint(0, 12) if rng.random() < 0.9 else rng.randint(13, 10 ** 40)
+            for _ in range(rng.randint(0, 8))]
+    exps = {v: rng.randint(1, 5) for v in gens}
+    if rng.random() < 0.3:
+        exps[X] = rng.randint(1, 5)
+    return mono_from_exps(exps)
+
+
+def test_mono_order_and_product_match_references():
+    rng = random.Random(9102)
+    for _ in range(10000):
+        a, b = _random_mono(rng), _random_mono(rng)
+        assert mono_mul(a, b) == _reference_mono_mul(a, b) == mono_mul(b, a), (a, b)
+        new, old = (_mono_sort_key(a), _mono_sort_key(b)), (
+            _reference_mono_sort_key(a), _reference_mono_sort_key(b))
+        assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1]), (a, b)
