@@ -18,18 +18,27 @@ vanishes there.
 Applying a derivation to the distinguished indeterminate x is an
 error: the generator ring and the x ring are never mixed silently.
 
+Derivations run over packed monomial keys: x_v's exponent sits in a
+``bits``-wide field at ``bits * rank(v)``, so the monomial of a Leibniz
+pair is one int addition.  rank(v) is v for the built-ins, and for a
+custom table the position of v among its keys and image variables (a key
+x_(10**100) costs nothing extra).  ``bits`` covers every exponent of the
+input and the result, so no field carries.  Each instance keeps one
+packed image table, repacked only when a call needs wider fields.
+
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
 from .families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, derivative_terms
-from .polyring import Mono, Poly, clip, mono_decrement, mul_into, var_name
+from .polyring import Poly, clip, var_name
 
 __all__ = [
     "Derivation",
@@ -63,19 +72,20 @@ class Derivation:
 
     Custom tables are not checked for nilpotency (deciding that in
     general is out of scope); operations that need termination check it
-    empirically.  Instances are immutable; built-in images are memoized
-    process-wide.
+    empirically.  Instances are immutable apart from their table of
+    packed images; built-in images are memoized process-wide.
     """
 
-    __slots__ = ("kind", "_images", "_den")
+    __slots__ = ("kind", "_images", "_den", "_order", "_top", "_bits", "_keys", "_packed")
 
     def __init__(
         self, kind: str, images: Mapping[int, Poly] | None = None
     ) -> None:
+        # packed keys: rank(v) = bisect_left(_order, v); _top = max image degree - 1, or 0
         if kind in _BUILTINS:
             if images is not None:
                 raise ValueError("built-in derivations take no image table")
-            self._images = None
+            self._images, self._order, self._top = None, range(_MAX_FAMILY_INDEX + 1), 0
         elif kind == CUSTOM:
             if images is None:
                 raise ValueError("custom derivation needs an image table")
@@ -85,11 +95,14 @@ class Derivation:
                         f"image of x{n} may not contain the indeterminate x"
                     )
             self._images = dict(images)
+            self._order = sorted(set(images).union(*map(Poly.variables, images.values())))
+            self._top = max([1, *map(Poly.degree, images.values())]) - 1
         else:
             raise ValueError(f"unknown derivation kind: {kind!r}")
         self.kind = kind
         # the lcm of the image denominators; built-in images are integral
         self._den = lcm(*(img.numerators()[1] for img in (self._images or {}).values()))
+        self._bits = -1  # the field width; the first call sets it, _keys and _packed
 
     @classmethod
     def fibonacci(cls) -> "Derivation":
@@ -123,27 +136,50 @@ class Derivation:
     def __call__(self, p: Poly) -> Poly:
         """Apply the Leibniz-linear extension to a generator polynomial.
 
-        One pass over the stored integer numerators of p and of the
-        images.  An image over denominator d is read scaled by den/d,
-        den the lcm of the table's denominators (1 for the built-ins),
-        so the sums stay ints and the result is over den times p's.
+        Each (term, image term) pair adds num * e * c at the packed key
+        key(m) - unit(v) + key(image monomial) (see the module docstring);
+        the nonzero sums are unpacked once.  Images over d are read scaled
+        by den/d, den the lcm of the table's denominators (1 for the
+        built-ins), so the result is over den times p's.
         """
         if p.contains_x:
             raise ValueError(
                 "derivations act on generator polynomials; found x"
             )
         nums, p_den = p.numerators()
-        images: dict[int, tuple] = {}  # v -> (image numerators, scale)
-        acc: dict[Mono, int] = {}
+        if (bits := (p.degree() + self._top).bit_length()) > self._bits:  # fields <= deg + _top
+            # _keys: monomial -> key; _packed: v -> (unit key of x_v, image keys, numerators)
+            self._bits, self._keys, self._packed = bits, {}, {}
+        bits, keys, order, table = self._bits, self._keys, self._order, self._packed
+        # every new generator's image is fetched, which checks its index, before any shift
+        fresh = [(v, self.image(v).numerators())
+                 for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in table]
+        for v, (img, den) in fresh:  # one key int per monomial, shared by the images
+            keys.update((m, sum(e << bits * bisect_left(order, w) for w, e in m))
+                        for m in (((v, 1),), *img) if m not in keys)
+            scale = self._den // den  # 1 shares the image's own ints
+            coeffs = tuple(img.values() if scale == 1 else (c * scale for c in img.values()))
+            table[v] = keys[((v, 1),)], tuple(map(keys.__getitem__, img)), coeffs
+        acc: dict[int, int] = {}
+        get = acc.get
         for mono, num in nums.items():
+            key = sum(e * table[v][0] for v, e in mono)
             for v, e in mono:
-                img = images.get(v)
-                if img is None:
-                    img_nums, img_den = self.image(v).numerators()
-                    img = images[v] = (img_nums.items(), self._den // img_den)
-                if img[0]:
-                    mul_into(acc, ((mono_decrement(mono, v), num * e * img[1]),), img[0])
-        return Poly._make(acc, p_den * self._den)
+                unit, img_keys, coeffs = table[v]
+                base, f = key - unit, num * e
+                for k, c in zip(img_keys, coeffs):
+                    k += base
+                    acc[k] = get(k, 0) + f * c
+        mask, out = (1 << bits) - 1, {}
+        for k, c in acc.items():
+            if c:
+                factors = []
+                while k:  # one step per factor: the field of the lowest set bit
+                    shift = ((k & -k).bit_length() - 1) // bits * bits
+                    factors.append((order[shift // bits], k >> shift & mask))
+                    k -= factors[-1][1] << shift
+                out[tuple(factors)] = c
+        return Poly._make(out, p_den * self._den)
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged."""

@@ -28,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, log10
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "mono_from_exps",
     "mono_mul",
     "mul_into",
-    "mono_decrement",
     "divide_by_generator",
     "json_text",
 ]
@@ -64,6 +63,15 @@ def clip(text, fmt=repr) -> str:
     return fmt(text)
 
 
+def _check_index(v: int) -> None:
+    """Refuse an index longer than the int-to-str digit limit, as _parse_var refuses its name."""
+    if 0 < (limit := sys.get_int_max_str_digits()) < v.bit_length() // 3 and v >= 10**limit:
+        d = int(log10(v)) + 1
+        d += (v >= 10**d) - (v < 10 ** (d - 1))  # log10 may round
+        raise ValueError(f"generator {clip(f'x{v // 10 ** (d - 39)}')}... ({d + 1} characters) "
+                         f"has an index of more than {limit} digits")
+
+
 def _parse_var(name: str) -> int:
     """The id of "x" or "x<n>": ASCII digits, no leading zero, so that
     each generator has exactly one name."""
@@ -81,6 +89,7 @@ def mono_from_exps(exps: Mapping[int, int]) -> Mono:
     for v, e in exps.items():
         if not isinstance(v, int) or v < X:
             raise ValueError(f"invalid variable id: {v!r}")
+        _check_index(v)
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValueError(f"exponent of {var_name(v)} must be an int, got {e!r}")
         if e < 0:
@@ -124,7 +133,7 @@ def _merge(acc: dict, terms: Iterable, scale: int = 1) -> dict:
 
 def mul_into(acc: dict, left: Iterable, right: Collection) -> dict:
     """acc += left * right over (monomial, nonzero coefficient) pairs, dropping
-    sums that cancel; Poly.__mul__ and Derivation.__call__ use it."""
+    sums that cancel; the product loop of Poly.__mul__."""
     for m1, a in left:
         for m2, b in right:
             m = mono_mul(m1, m2)
@@ -134,22 +143,6 @@ def mul_into(acc: dict, left: Iterable, right: Collection) -> dict:
             else:
                 del acc[m]
     return acc
-
-
-def mono_decrement(m: Mono, v: int) -> Mono:
-    """Divide a monomial by one power of ``v`` (which must be present)."""
-    out = []
-    seen = False
-    for w, e in m:
-        if w == v:
-            seen = True
-            if e > 1:
-                out.append((w, e - 1))
-        else:
-            out.append((w, e))
-    if not seen:
-        raise ValueError(f"monomial has no factor {var_name(v)}")
-    return tuple(out)
 
 
 def _mono_sort_key(m: Mono) -> tuple:
@@ -207,6 +200,7 @@ class Poly:
         """The generator x_n."""
         if n < 0:
             raise ValueError("generator index must be >= 0")
+        _check_index(n)
         return cls._make({((n, 1),): 1})
 
     @classmethod
@@ -377,10 +371,11 @@ class Poly:
         """Ring-homomorphic substitution of variables.
 
         Every generator occurring in the polynomial must have an image;
-        the distinguished x maps to itself unless overridden.
+        the distinguished x maps to itself unless overridden.  The term
+        images are summed once, over the lcm of their denominators.
         """
         power_cache: dict[tuple[int, int], Poly] = {}
-        out = Poly.zero()
+        parts = []
         for m, c in self._nums.items():
             acc = Poly.constant(c)
             for v, e in m:
@@ -398,8 +393,10 @@ class Poly:
                     pw = base ** e
                     power_cache[key] = pw
                 acc = acc * pw
-            out = out + acc
-        return out / self._den
+            parts.append(acc.numerators())
+        den = lcm(*(d for _, d in parts))
+        out = _merge({}, ((m, c * (den // d)) for nums, d in parts for m, c in nums.items()))
+        return Poly._make(out, den * self._den)
 
     def diff_x(self) -> "Poly":
         """Formal derivative in the distinguished x.
@@ -542,7 +539,9 @@ def divide_by_generator(p: Poly, v: int) -> Poly | None:
     nums, den = p.numerators()
     if not all(any(w == v for w, _ in m) for m in nums):
         return None
-    return Poly._make({mono_decrement(m, v): c for m, c in nums.items()}, den)
+    return Poly._make(
+        {tuple((w, e - (w == v)) for w, e in m if w != v or e > 1): c for m, c in nums.items()}, den
+    )
 
 
 class PolyMatrix:

@@ -1,17 +1,20 @@
 import cProfile
 import pstats
 import random
+import re
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 
 from conftest import random_fraction, random_poly
+from fiblucas import derivops
 from fiblucas.derivops import Derivation, builtin_image, kernel_member
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
-from fiblucas.polyring import Poly, mono_decrement, mono_from_exps
+from fiblucas.polyring import Poly, mono_from_exps, mul_into, var_name
 
 
 def g(n):
@@ -238,6 +241,23 @@ def test_weitzenboeck_style_relation_after_substitution():
 # ---- differential check of the integer Leibniz kernel --------------------
 
 
+def mono_decrement(m, v):
+    """Divide a monomial by one power of ``v`` (which must be present); the
+    polyring helper of the merge-based pass, kept for the references."""
+    out = []
+    seen = False
+    for w, e in m:
+        if w == v:
+            seen = True
+            if e > 1:
+                out.append((w, e - 1))
+        else:
+            out.append((w, e))
+    if not seen:
+        raise ValueError(f"monomial has no factor {var_name(v)}")
+    return tuple(out)
+
+
 def _mono_product(a, b):
     exps = dict(a)
     for v, e in b:
@@ -324,3 +344,159 @@ def test_integer_leibniz_matches_fraction_reference(kind):
             got = d.power(p, k)
             assert got == expected, (p, k)
             _assert_canonical(got)
+
+
+# ---- the packed Leibniz pass against the merge-based pass it replaced -----
+
+
+def call_reference(self, p):
+    """Derivation.__call__ as it was before the packed pass: one mul_into
+    merge of monomial tuples per (term, image) pair."""
+    if p.contains_x:
+        raise ValueError(
+            "derivations act on generator polynomials; found x"
+        )
+    nums, p_den = p.numerators()
+    images: dict[int, tuple] = {}  # v -> (image numerators, scale)
+    acc = {}
+    for mono, num in nums.items():
+        for v, e in mono:
+            img = images.get(v)
+            if img is None:
+                img_nums, img_den = self.image(v).numerators()
+                img = images[v] = (img_nums.items(), self._den // img_den)
+            if img[0]:
+                mul_into(acc, ((mono_decrement(mono, v), num * e * img[1]),), img[0])
+    return Poly._make(acc, p_den * self._den)
+
+
+def _check_packed(d, p):
+    got = d(p)
+    assert got == call_reference(d, p) == leibniz_reference(d, p), p
+    _assert_canonical(got)
+    for m in got.numerators()[0]:
+        assert m == mono_from_exps(dict(m)) and len(dict(m)) == len(m), m
+    return got
+
+
+def _poly_over(rng, gens, max_exp, max_terms=6):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        chosen = rng.sample(gens, rng.randint(0, min(3, len(gens))))
+        exps = {v: rng.randint(1, max_exp) for v in chosen}
+        terms.append((mono_from_exps(exps), _wide_fraction(rng)))
+    return Poly.from_terms(terms)
+
+
+def _edge_exponents():
+    # exponents at, below and past each field width edge
+    return sorted({e for b in range(1, 8) for e in (2 ** b - 1, 2 ** b, 2 ** b + 1)})
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
+def test_packed_pass_matches_references_builtin(kind):
+    rng = random.Random(f"packed-{kind}")
+    d = Derivation(kind)
+    cases = [Poly.zero(), Poly.one(), Poly.constant(Fraction(-3, 7))]
+    for e in _edge_exponents():
+        cases += [g(5) ** e, Fraction(2, 9) * g(3) ** e * g(4) ** (e + 1) - g(1) * g(9) ** e,
+                  g(0) ** (e - 1) * g(1) + g(2) ** e * g(7), g(40) ** e + g(39) * g(2) ** (e - 1)]
+    cases += [_poly_over(rng, list(range(13)), rng.choice([1, 3, 60])) for _ in range(80)]
+    for p in cases:
+        _check_packed(d, p)
+
+
+def _sparse_custom():
+    # keys 10**30 and 10**100 beside small ones; zero, constant and rational images
+    k30, k100 = 10 ** 30, 10 ** 100
+    return Derivation.custom({
+        0: Poly.zero(),
+        2: Poly.constant(Fraction(5, 3)),
+        k30: Fraction(-7, 11) * g(0) ** 3 + Fraction(1, 4) * g(2),
+        k100: Fraction(2, 9) * g(k30) ** 2 * g(0) - g(7) + Fraction(13, 10 ** 20 + 1),
+        3: g(k100) * g(0) ** 5,
+    }), [0, 2, 3, k30, k100]
+
+
+def test_packed_pass_matches_references_custom():
+    rng = random.Random("packed-custom")
+    tables = [_sparse_custom()]
+    zero_and_constant = {0: Poly.zero(), 1: Poly.zero(), 4: Poly.constant(-2)}
+    tables.append((Derivation.custom(zero_and_constant), [0, 1, 4]))
+    tables.append((_custom_derivation(rng, 6), list(range(7))))
+    for d, gens in tables:
+        cases = [Poly.zero(), Poly.constant(Fraction(11, 13))]
+        for e in _edge_exponents():
+            cases += [g(gens[-1]) ** e, g(gens[1]) ** (e - 1) * g(gens[-1]) + g(gens[-2]) ** e]
+        cases += [_poly_over(rng, gens, rng.choice([1, 4, 40])) for _ in range(60)]
+        for p in cases:
+            _check_packed(d, p)
+    # D(x_0^a x_1) = x_0^(a + 3) fills the widest field the width allows
+    d = Derivation.custom({0: Poly.zero(), 1: g(0) ** 3})
+    for a in _edge_exponents():
+        assert _check_packed(d, g(0) ** a * g(1)) == g(0) ** (a + 3)
+
+
+def test_packed_table_is_reused_and_widened():
+    # one instance on rising, then falling, then rising degree: the table
+    # is widened by repacking, a narrower input reads the wider table
+    for d, gens in ((Derivation.lucas(), list(range(9))), _sparse_custom()):
+        rng = random.Random(f"reuse-{d.kind}")
+        degrees = [1, 2, 3, 8, 17, 64, 200, 64, 9, 2, 1, 0, 5, 300, 1]
+        for top in degrees:
+            p = _poly_over(rng, gens, max(top, 1)) + g(gens[-1]) ** top
+            _check_packed(d, p)
+        assert set(d._packed) <= set(gens)
+
+
+def test_packed_pass_matches_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    derivations = [Derivation(kind) for kind in (FIBONACCI, LUCAS, APPELL)]
+    derivations.append(_sparse_custom()[0])
+    gens = st.sampled_from([0, 1, 2, 3, 7, 12, 10 ** 30, 10 ** 100])
+    monos = st.dictionaries(gens, st.integers(1, 70), max_size=4)
+    coeffs = st.fractions(max_denominator=10 ** 12).filter(bool)
+    polys = st.lists(st.tuples(monos, coeffs), max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, len(derivations) - 1), polys)
+    def check(which, terms):
+        d = derivations[which]
+        p = Poly.from_terms((mono_from_exps(m), c) for m, c in terms)
+        try:
+            want = call_reference(d, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                d(p)
+            return
+        got = d(p)
+        assert got == want
+        _assert_canonical(got)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
+def test_index_limit_checked_before_any_shift(kind, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a generator was ranked for a shift before every index was checked")
+
+    d = Derivation(kind)
+    monkeypatch.setattr(derivops, "bisect_left", no_rank)
+    for v in (_MAX_FAMILY_INDEX + 1, 10 ** 3999 + 7):
+        for p in (g(v), g(1) * g(2) ** 3 + g(v) ** 2 * g(3)):
+            t0 = perf_counter()
+            with pytest.raises(ValueError, match=f"derivation index limit {_MAX_FAMILY_INDEX}"):
+                d(p)
+            assert perf_counter() - t0 < 1.0
+    monkeypatch.undo()
+    p = g(1) * g(2) ** 3 + g(_MAX_FAMILY_INDEX) ** 2
+    assert d(p) == call_reference(d, p)
+
+
+def test_custom_key_far_past_the_index_limit():
+    k = 10 ** 100
+    d = Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
+    assert d(g(k) ** 3 * g(0)) == g(k) ** 2 * g(0) ** 3
+    assert d(g(k) ** 300) == 100 * g(k) ** 299 * g(0) ** 2

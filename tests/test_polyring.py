@@ -705,3 +705,95 @@ def test_mono_order_and_product_match_references():
         new, old = (_mono_sort_key(a), _mono_sort_key(b)), (
             _reference_mono_sort_key(a), _reference_mono_sort_key(b))
         assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1]), (a, b)
+
+
+def _decimal(v):
+    """str(v) for v >= 1 past the int-to-str digit limit, 1000 digits at a time."""
+    parts = []
+    while v:
+        v, r = divmod(v, 10 ** 1000)
+        parts.append(str(r).zfill(1000))
+    return "".join(reversed(parts)).lstrip("0")
+
+
+def test_huge_generator_index_rejected_with_its_name_clipped():
+    # an index no name can spell is refused up front, with the error the
+    # reader gives for that name; the largest spellable index is accepted
+    limit = sys.get_int_max_str_digits()
+    huge = 10 ** (limit + 100)
+    for build in (lambda: Poly.gen(huge), lambda: Poly.term(1, {huge: 1}),
+                  lambda: mono_from_exps({0: 1, huge: 0})):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (
+            f"generator {'x1' + '0' * 38!r}... ({limit + 102} characters) has an index of "
+            f"more than {limit} digits")
+    for v in (10 ** limit - 1, 10 ** limit, 10 ** (limit + 1) - 1, 2 ** 20000, huge):
+        name = "x" + _decimal(v)
+        if len(name) - 1 <= limit:
+            assert _parse_var(name) == v and Poly.gen(v).variables() == {v}
+            continue
+        with pytest.raises(ValueError) as named:
+            _parse_var(name)
+        with pytest.raises(ValueError) as err:
+            Poly.gen(v)
+        assert str(err.value) == str(named.value)
+
+
+def _reference_substitute(self, images):
+    """Poly.substitute as it was before the one-dict sum, read through
+    numerators(): each term image is added to the running sum with out + acc."""
+    power_cache: dict[tuple[int, int], Poly] = {}
+    out = Poly.zero()
+    for m, c in self.numerators()[0].items():
+        acc = Poly.constant(c)
+        for v, e in m:
+            key = (v, e)
+            pw = power_cache.get(key)
+            if pw is None:
+                if v in images:
+                    base = images[v]
+                elif v == X:
+                    base = Poly.x()
+                else:
+                    raise ValueError(
+                        f"no substitution image for variable {var_name(v)}"
+                    )
+                pw = base ** e
+                power_cache[key] = pw
+            acc = acc * pw
+        out = out + acc
+    return out / self.numerators()[1]
+
+
+def test_substitute_matches_reference_loop():
+    rng = random.Random(8084)
+    wide = Fraction(10 ** 25 + 7, 3 ** 30)
+    for i in range(300):
+        p = random_poly(rng, max_var=5, max_terms=8, allow_x=True) * (wide if i % 3 == 0 else 1)
+        images = {}
+        for v in range(6):
+            r = rng.random()
+            images[v] = (Poly.zero() if r < 0.1 else Poly.constant(random_fraction(rng))
+                         if r < 0.2 else random_poly(rng, max_var=3, max_terms=3, allow_x=True)
+                         / rng.randint(1, 10 ** rng.randint(0, 12)))
+        if rng.random() < 0.2:
+            images[X] = random_x_poly(rng, max_degree=2)
+        if rng.random() < 0.1:
+            del images[rng.randint(0, 5)]
+        try:
+            want = _reference_substitute(p, images)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                p.substitute(images)
+            continue
+        got = p.substitute(images)
+        _assert_primitive(got)
+        assert got == want, (p, images)
+    # a cancelling sum and a large one
+    x = Poly.x()
+    assert (g(1) - g(2)).substitute({1: x / 3, 2: x / 3}) == 0
+    big = sum((Fraction(k + 1, 7) * g(k % 4) ** (k % 5) * g(4 + k % 3) for k in range(200)),
+              Poly.zero())
+    images = {v: (x + v) / (v + 2) for v in range(7)}
+    assert big.substitute(images) == _reference_substitute(big, images)
