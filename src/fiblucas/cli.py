@@ -192,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a fixed message: formatting a traceback may need memory too
+        print("internal error: out of memory", file=sys.stderr)
+        return 3
     except Exception as exc:
         import traceback  # only on a crash, so normal runs skip its import time
 

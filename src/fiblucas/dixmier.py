@@ -39,7 +39,7 @@ route is plain Poly arithmetic, which is integer arithmetic inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, lcm
 
 from .derivops import Derivation
@@ -68,12 +68,11 @@ _NILPOTENCY_CAP = 512  # iterations before giving up on termination
 _MAX_CAYLEY_N = 150
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A polynomial h together with image = D(h), where D^2(h) = 0."""
+class Slice(namedtuple("Slice", "h image")):
+    """A polynomial h together with image = D(h), where D^2(h) = 0;
+    an immutable named tuple of two `Poly`s."""
 
-    h: Poly
-    image: Poly
+    __slots__ = ()
 
 
 def fibonacci_slice() -> Slice:
@@ -84,13 +83,11 @@ def lucas_slice() -> Slice:
     return Slice(Poly.gen(1), Poly.gen(0))
 
 
-@dataclass(frozen=True)
-class LocalizedPoly:
-    """numerator / x_{denom_var}^denom_power, with the power minimal."""
+class LocalizedPoly(namedtuple("LocalizedPoly", "numerator denom_var denom_power")):
+    """numerator / x_{denom_var}^denom_power, with the power minimal;
+    an immutable named tuple of a `Poly` and two ints."""
 
-    numerator: Poly
-    denom_var: int
-    denom_power: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.denom_power == 0:

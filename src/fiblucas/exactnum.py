@@ -9,9 +9,9 @@ generating-function work.  No floating point anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable
 
 __all__ = [
     "binomial",

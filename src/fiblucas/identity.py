@@ -10,7 +10,7 @@ against the expected odd/even pattern without ever assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -145,15 +145,13 @@ def phi_subst(family: str, p: Poly) -> Poly:
     )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of substituting a family into a generator polynomial."""
+class IdentityReport(
+    namedtuple("IdentityReport", "input family substituted is_constant constant_value")
+):
+    """Outcome of substituting a family into a generator polynomial;
+    an immutable named tuple, constant_value a Fraction or None."""
 
-    input: Poly
-    family: str
-    substituted: Poly
-    is_constant: bool
-    constant_value: Fraction | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         doc = {

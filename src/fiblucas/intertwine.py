@@ -54,10 +54,10 @@ not ValueError), never a result.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Mapping
 
 from .derivops import Derivation
 from .exactnum import bessel_j0_series, bessel_j1_series, falling_factorial

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf, lcm, log10
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "X",

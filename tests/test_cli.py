@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fiblucas import cli
+from fiblucas.derivops import _MAX_LEIBNIZ_PAIRS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
 from fiblucas.families import _MAX_FAMILY_INDEX
 from fiblucas.intertwine import _MAX_INTERTWINE_N
@@ -294,6 +295,54 @@ def test_crash_exits_three(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "demo", "discriminant")
     assert (code, out) == (3, "")
     assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")
+
+
+def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):
+    # the handler must not import traceback, which may itself fail when
+    # memory is short and turn the crash into exit 1
+    def crash(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._DISPATCH, "demo", crash)
+    monkeypatch.setitem(sys.modules, "traceback", None)  # any import of it raises
+    code, out, err = run(capsys, "demo", "discriminant")
+    assert (code, out, err) == (3, "", "internal error: out of memory\n")
+
+
+@pytest.mark.parametrize("family", ["fib", "lucas"])
+def test_derive_power_refused_past_the_pair_limit(tmp_path, capsys, monkeypatch, family):
+    # D^2 of x1000 x999^2 touches about 10^6 (term, image term) pairs and
+    # D^3 about 4*10^8: the second application is refused before it runs
+    applied = []
+    call = Derivation.__call__
+
+    def counting(self, p):
+        applied.append(len(p))
+        return call(self, p)
+
+    monkeypatch.setattr(Derivation, "__call__", counting)
+    path = poly_file(tmp_path, g(1000) * g(999) ** 2)
+    code, out, err = run(capsys, "derive", "--family", family, "--input", path, "--power", "3")
+    assert (code, out) == (2, "")
+    assert applied == [1]
+    pairs = 997002 if family == "fib" else 999500
+    assert err == (
+        f"error: the next application would touch {pairs} (term, image term) pairs, "
+        f"past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
+    )
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # every CLI job is a fresh interpreter that pays for its imports; -S
+    # keeps site-packages .pth files from importing typing on their own
+    root = Path(__file__).resolve().parents[1]
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = f"import fiblucas.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "[]\n"
 
 
 def test_traced_benchmark_launcher_runs(tmp_path):

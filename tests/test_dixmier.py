@@ -164,6 +164,26 @@ def test_cayley_size_limit():
     assert _MAX_CAYLEY_N > 120
 
 
+def test_slice_and_localized_poly_records():
+    # immutable named tuples: keyword or positional construction, equality
+    # and hashing by fields, no field assignment, the Name(field=value) repr
+    s = Slice(h=g(2), image=g(1))
+    assert s == Slice(g(2), g(1)) == fibonacci_slice()
+    assert s != lucas_slice()
+    assert hash(s) == hash(fibonacci_slice())
+    assert repr(s) == "Slice(h=Poly(x2), image=Poly(x1))"
+    loc = LocalizedPoly(numerator=g(3) - g(1) / 2, denom_var=1, denom_power=2)
+    assert loc == LocalizedPoly(g(3) - g(1) / 2, 1, 2)
+    assert loc != LocalizedPoly(g(3) - g(1) / 2, 1, 3)
+    assert hash(loc) == hash(LocalizedPoly(g(3) - g(1) / 2, 1, 2))
+    assert repr(loc) == "LocalizedPoly(numerator=Poly(-1/2*x1 + x3), denom_var=1, denom_power=2)"
+    assert len({s, fibonacci_slice(), loc}) == 2
+    with pytest.raises(AttributeError):
+        s.h = g(3)
+    with pytest.raises(AttributeError):
+        loc.denom_power = 0
+
+
 def test_localized_poly_str():
     sig = dixmier_sigma(Derivation.fibonacci(), fibonacci_slice(), 3)
     assert str(sig) == "(x1*x3 - x2^2) / x1"

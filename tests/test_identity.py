@@ -286,6 +286,52 @@ def test_emit_unknown_format_rejected():
         emit(report, "html")
 
 
+def test_identity_report_record():
+    # an immutable named tuple: keyword construction, equality and hashing
+    # by fields, the Name(field=value) repr, and the same to_json documents
+    c3 = cayley_closed("fibonacci", 3)
+    report = IdentityReport(
+        input=c3, family="fibonacci", substituted=Poly.one(), is_constant=True,
+        constant_value=Fraction(1),
+    )
+    assert report == verify_identity(c3, "fibonacci")
+    assert hash(report) == hash(verify_identity(c3, "fibonacci"))
+    assert report != verify_identity(c3, "lucas")
+    assert repr(report) == (
+        "IdentityReport(input=Poly(x1*x3 - x2^2), family='fibonacci', substituted=Poly(1), "
+        "is_constant=True, constant_value=Fraction(1, 1))"
+    )
+    assert report.to_json() == {
+        "family": "fibonacci",
+        "input": {
+            "vars": ["x1", "x2", "x3"],
+            "terms": [
+                {"coeff": "1", "exps": {"x1": 1, "x3": 1}},
+                {"coeff": "-1", "exps": {"x2": 2}},
+            ],
+        },
+        "substituted": {"vars": [], "terms": [{"coeff": "1", "exps": {}}]},
+        "is_constant": True,
+        "constant_value": "1",
+    }
+    report = verify_identity(g(2), "lucas")
+    assert repr(report) == (
+        "IdentityReport(input=Poly(x2), family='lucas', substituted=Poly(x^2 + 2), "
+        "is_constant=False, constant_value=None)"
+    )
+    assert report.to_json() == {
+        "family": "lucas",
+        "input": {"vars": ["x2"], "terms": [{"coeff": "1", "exps": {"x2": 1}}]},
+        "substituted": {
+            "vars": ["x"],
+            "terms": [{"coeff": "1", "exps": {"x": 2}}, {"coeff": "2", "exps": {}}],
+        },
+        "is_constant": False,
+    }
+    with pytest.raises(AttributeError):
+        report.constant_value = Fraction(2)
+
+
 def test_identity_report_is_frozen():
     report = verify_identity(g(0), "lucas")
     assert isinstance(report, IdentityReport)
