@@ -35,6 +35,10 @@ def _read_poly(source: str) -> Poly:
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("invalid JSON: nested too deeply") from exc
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a JSON number has more than {limit} decimal digits, "
+                         "the limit on JSON numbers") from None
     return Poly.from_json(doc)
 
 

@@ -23,8 +23,9 @@ Derivations run over packed monomial keys: x_v's exponent sits in a
 pair is one int addition.  rank(v) is v for the built-ins, and for a
 custom table the position of v among its keys and image variables (a key
 x_(10**100) costs nothing extra).  ``bits`` covers every exponent of the
-input and the result, so no field carries.  Each instance keeps one
-packed image table, repacked only when a call needs wider fields.
+input and the result, so no field carries, and is never a multiple of 61.
+Each instance keeps one packed image table, repacked only when a call
+needs wider fields; keys past _MAX_KEY_SIZE are refused before one is built.
 
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
@@ -53,9 +54,19 @@ _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 # Size limit on one application in `power`: the (term, image term) pairs
 # it would touch, counted first.  At the limit, on CPython 3.11 and a
 # 2-vCPU x86-64 VM, applying D to terms of D(x1000 x999^2) takes 1.1-1.3 s
-# (3.3-4.0 s times x1000^4096, 7.3-7.7 s times x1000^(2^30): wider keys);
-# C_150, at 149 075 pairs, takes about 0.1 s.
+# (3.3-4.0 s times x1000^4096: wider keys); C_150, at 149 075 pairs, takes
+# about 0.1 s.
 _MAX_LEIBNIZ_PAIRS = 250_000
+
+# Size limit on the packed keys of one call, checked where the field width
+# or the table is set up: fields^2 * bits, fields the ranks up to the
+# highest.  A built-in image of x_v has about v/2 terms, so this is about
+# twice the key bits one input term yields.  x1000 takes exponents below
+# 2^16.  In a slower run on the same kind of VM, D at the pair limit on
+# terms of D(x1000 x999^2) took 2.1 s and 170 MiB, times x1000^(2^15)
+# 6.3-6.9 s and 570 MiB; one call on the 40 terms x_i x1000^(2^60), at
+# 62 million, took 1.2 s and 183 MiB.
+_MAX_KEY_SIZE = 2**24
 
 
 # the memo holds every image up to the index limit, about 50 MB at 1000
@@ -154,13 +165,29 @@ class Derivation:
                 "derivations act on generator polynomials; found x"
             )
         nums, p_den = p.numerators()
-        if (bits := (p.degree() + self._top).bit_length()) > self._bits:  # fields <= deg + _top
-            # _keys: monomial -> key; _packed: v -> (unit key of x_v, image keys, numerators)
-            self._bits, self._keys, self._packed = bits, {}, {}
-        bits, keys, order, table = self._bits, self._keys, self._order, self._packed
-        # every new generator's image is fetched, which checks its index, before any shift
+        bits = (p.degree() + self._top).bit_length()  # fields <= deg + _top
+        # CPython hashes an int modulo 2^61 - 1, in which 2^61 = 1: at a width that
+        # is a multiple of 61 every field weighs 1, and each key hashes to its degree
+        bits += bits % 61 == 0
+        grow = bits > self._bits
+        bits, table = (bits, {}) if grow else (self._bits, self._packed)
+        # every new generator's image is fetched, which checks its index, and the
+        # key size is checked, before any key is built
         fresh = [(v, self.image(v).numerators())
                  for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in table]
+        if fresh:
+            # one field per rank up to the highest: rank(v) = v for the built-ins,
+            # and a custom image may reach any rank
+            fields = max(v for v, _ in fresh) + 1 if self._images is None else len(self._order)
+            if (size := fields * fields * bits) > _MAX_KEY_SIZE:
+                raise ValueError(
+                    f"packed monomial keys of {fields} fields of {bits} bits measure "
+                    f"fields^2 * bits = {size}, past the derivation key limit {_MAX_KEY_SIZE}"
+                )
+        if grow:
+            # _keys: monomial -> key; _packed: v -> (unit key of x_v, image keys, numerators)
+            self._bits, self._keys, self._packed = bits, {}, table
+        keys, order = self._keys, self._order
         for v, (img, den) in fresh:  # one key int per monomial, shared by the images
             keys.update((m, sum(e << bits * bisect_left(order, w) for w, e in m))
                         for m in (((v, 1),), *img) if m not in keys)

@@ -45,7 +45,7 @@ from math import factorial, lcm
 from .derivops import Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS
-from .polyring import Poly, var_name
+from .polyring import Poly
 
 __all__ = [
     "closed_power_on_generator",
@@ -88,12 +88,6 @@ class LocalizedPoly(namedtuple("LocalizedPoly", "numerator denom_var denom_power
     an immutable named tuple of a `Poly` and two ints."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        if self.denom_power == 0:
-            return str(self.numerator)
-        power = f"^{self.denom_power}" if self.denom_power > 1 else ""
-        return f"({self.numerator}) / {var_name(self.denom_var)}{power}"
 
 
 def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:

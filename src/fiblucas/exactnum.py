@@ -86,9 +86,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self._coeffs[i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

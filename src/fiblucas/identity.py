@@ -18,7 +18,7 @@ from .derivops import Derivation, kernel_member
 from .dixmier import _check_cayley_args, cayley_closed
 from .families import _MAX_FAMILY_INDEX, FIBONACCI, LUCAS, family_poly
 from .intertwine import AL, psi
-from .polyring import Mono, Poly, PolyMatrix, X, clip, divide_by_generator, json_text, var_name
+from .polyring import Mono, Poly, X, clip, det, divide_by_generator, json_text, var_name
 
 __all__ = [
     "IdentityReport",
@@ -224,20 +224,6 @@ def conjecture_scan(family: str, n_max: int) -> dict:
     }
 
 
-def _discriminant_matrix() -> PolyMatrix:
-    g = Poly.gen
-    z = Poly.zero()
-    return PolyMatrix.from_rows(
-        [
-            [g(0), 3 * g(1), 3 * g(2), g(3), z],
-            [z, g(0), 3 * g(1), 3 * g(2), g(3)],
-            [3 * g(0), 6 * g(1), 3 * g(2), z, z],
-            [z, 3 * g(0), 6 * g(1), 3 * g(2), z],
-            [z, z, 3 * g(0), 6 * g(1), 3 * g(2)],
-        ]
-    )
-
-
 def _discriminant_core() -> Poly:
     t = Poly.term
     return (
@@ -262,13 +248,19 @@ def discriminant_demo() -> dict:
     Lucas family collapses it to -864.
     """
     stages = []
-    matrix = _discriminant_matrix()
-    det = matrix.det()
+    g, z = Poly.gen, Poly.zero()
+    matrix = [
+        [g(0), 3 * g(1), 3 * g(2), g(3), z],
+        [z, g(0), 3 * g(1), 3 * g(2), g(3)],
+        [3 * g(0), 6 * g(1), 3 * g(2), z, z],
+        [z, 3 * g(0), 6 * g(1), 3 * g(2), z],
+        [z, z, 3 * g(0), 6 * g(1), 3 * g(2)],
+    ]
     disc = 27 * _discriminant_core()
     stages.append(
         {
             "stage": "determinant-expansion",
-            "ok": det == Poly.term(-1, {0: 1}) * disc,
+            "ok": det(matrix) == Poly.term(-1, {0: 1}) * disc,
         }
     )
 
@@ -277,7 +269,7 @@ def discriminant_demo() -> dict:
     )
 
     sub = psi(AL, 3)
-    det_al = matrix.map_entries(sub.apply).det()
+    det_al = det([[sub.apply(e) for e in row] for row in matrix])
     stages.append(
         {"stage": "lucas-kernel", "ok": kernel_member(Derivation.lucas(), det_al)}
     )

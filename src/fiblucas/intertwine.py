@@ -265,16 +265,8 @@ class LinearSubstitution:
         except KeyError:
             raise ValueError(f"no image for generator {var_name(n)}") from None
 
-    def defined_range(self) -> list[int]:
-        return sorted(self._images)
-
     def apply(self, p: Poly) -> Poly:
         return p.substitute(self._images)
-
-    def __repr__(self) -> str:
-        ns = self.defined_range()
-        span = f"x0..x{ns[-1]}" if ns else "empty"
-        return f"LinearSubstitution({span})"
 
 
 def psi(kind: str, n_max: int, route: str = ROUTE_BETA) -> LinearSubstitution:

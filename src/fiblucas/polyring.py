@@ -35,12 +35,12 @@ __all__ = [
     "X",
     "Mono",
     "Poly",
-    "PolyMatrix",
     "mono_from_exps",
     "mono_mul",
     "mul_into",
     "divide_by_generator",
     "json_text",
+    "det",
 ]
 
 X = -1  # variable id of the distinguished indeterminate x
@@ -261,15 +261,6 @@ class Poly:
         if not self._nums:
             return -1
         return max(sum(e for _, e in m) for m in self._nums)
-
-    def degree_in(self, v: int) -> int:
-        """Largest exponent of variable v across terms (0 if absent)."""
-        deg = 0
-        for m in self._nums:
-            for w, e in m:
-                if w == v and e > deg:
-                    deg = e
-        return deg
 
     def variables(self) -> set[int]:
         out: set[int] = set()
@@ -544,64 +535,31 @@ def divide_by_generator(p: Poly, v: int) -> Poly | None:
     )
 
 
-class PolyMatrix:
-    """Dense matrix of polynomials with an exact determinant."""
+_MAX_DET_SIZE = 8  # symbolic determinants explode past this size
 
-    __slots__ = ("rows", "cols", "_entries")
 
-    MAX_DET_SIZE = 8  # symbolic determinants explode past this
+def det(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Exact determinant of a square matrix given as rows, by minor
+    expansion down the rows with the sub-minors over each column tuple shared."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    if n > _MAX_DET_SIZE:
+        raise ValueError(f"determinant guardrail: size {n} > {_MAX_DET_SIZE}")
+    memo: dict[tuple[int, ...], Poly] = {(): Poly.one()}
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Poly]) -> None:
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("entries length must equal rows*cols")
-        self.rows = rows
-        self.cols = cols
-        self._entries = tuple(entries)
+    def minor(cols: tuple[int, ...]) -> Poly:
+        if cols in memo:
+            return memo[cols]
+        row = rows[n - len(cols)]
+        acc = Poly.zero()
+        for pos, c in enumerate(cols):
+            e = row[c]
+            if e.is_zero():
+                continue
+            contrib = e * minor(cols[:pos] + cols[pos + 1 :])
+            acc = acc + contrib if pos % 2 == 0 else acc - contrib
+        memo[cols] = acc
+        return acc
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Poly]]) -> "PolyMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        flat: list[Poly] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    def entry(self, r: int, c: int) -> Poly:
-        return self._entries[r * self.cols + c]
-
-    def map_entries(self, f) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [f(e) for e in self._entries])
-
-    def det(self) -> Poly:
-        """Exact determinant by minor expansion with shared sub-minors."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n > self.MAX_DET_SIZE:
-            raise ValueError(f"determinant guardrail: size {n} > {self.MAX_DET_SIZE}")
-        if n == 0:
-            return Poly.one()
-        memo: dict[tuple[int, ...], Poly] = {}
-
-        def minor(cols: tuple[int, ...]) -> Poly:
-            if not cols:
-                return Poly.one()
-            cached = memo.get(cols)
-            if cached is not None:
-                return cached
-            row = n - len(cols)
-            acc = Poly.zero()
-            for pos, c in enumerate(cols):
-                e = self.entry(row, c)
-                if e.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                contrib = e * sub
-                acc = acc + contrib if pos % 2 == 0 else acc - contrib
-            memo[cols] = acc
-            return acc
-
-        return minor(tuple(range(n)))
+    return minor(tuple(range(n)))

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from fiblucas import cli
-from fiblucas.derivops import _MAX_LEIBNIZ_PAIRS, Derivation
+from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_LEIBNIZ_PAIRS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
 from fiblucas.families import _MAX_FAMILY_INDEX
 from fiblucas.intertwine import _MAX_INTERTWINE_N
@@ -253,6 +254,37 @@ def test_coefficient_string_over_digit_limit_is_shown_bounded(tmp_path, capsys):
     code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: bad coefficient {'x' * 40!r}... (50 characters)\n"
+
+
+def test_json_number_over_digit_limit_names_the_limit(tmp_path, capsys):
+    # json.loads refuses an integer literal past the digit limit with the
+    # interpreter's text; the error is ours and names the limit
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    for digits, want in ((limit, 1), (limit + 1, 2)):
+        exp = "1" + "0" * (digits - 1)
+        path.write_text('{"terms": [{"coeff": "1", "exps": {"x1": %s}}]}' % exp, encoding="utf-8")
+        code, out, err = run(capsys, "kernel-check", "--family", "lucas", "--input", str(path))
+        assert code == want, digits
+    assert (out, err) == ("", (
+        f"error: a JSON number has more than {limit} decimal digits, the limit on JSON numbers\n"
+    ))
+
+
+@pytest.mark.parametrize("cmd", ["derive", "kernel-check"])
+def test_wide_packed_keys_exit_two(tmp_path, capsys, cmd):
+    # x999^E x1000^E, E = 10^400: 1001 fields of 1330 bits, refused before
+    # any key is built
+    wide = 10 ** 400
+    path = poly_file(tmp_path, g(999) ** wide * g(1000) ** wide)
+    t0 = perf_counter()
+    code, out, err = run(capsys, cmd, "--family", "lucas", "--input", path)
+    assert perf_counter() - t0 < 1.0
+    size = 1001 * 1001 * 1330
+    assert (code, out, err) == (2, "", (
+        f"error: packed monomial keys of 1001 fields of 1330 bits measure fields^2 * bits = "
+        f"{size}, past the derivation key limit {_MAX_KEY_SIZE}\n"
+    ))
 
 
 def test_derivation_index_limit(tmp_path, capsys):

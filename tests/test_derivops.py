@@ -500,3 +500,45 @@ def test_custom_key_far_past_the_index_limit():
     d = Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
     assert d(g(k) ** 3 * g(0)) == g(k) ** 2 * g(0) ** 3
     assert d(g(k) ** 300) == 100 * g(k) ** 299 * g(0) ** 2
+
+
+def test_field_width_is_never_a_multiple_of_61():
+    # CPython hashes an int modulo 2^61 - 1: at a width of 61, 122, ... every
+    # key of a homogeneous result would hash to the same exponent sum
+    d = Derivation.lucas()
+    for top in (2 ** 60, 2 ** 121, 2 ** 182):
+        p = sum((g(i) * g(50) ** top for i in range(8)), Poly.zero())
+        _check_packed(d, p)
+        assert d._bits == top.bit_length() + 1
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
+def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a key was built before the key size was checked")
+
+    d = Derivation(kind)
+    narrow = g(1000) ** 2 * g(3) + g(7)
+    _check_packed(d, narrow)
+    table = d._packed
+    wide = 10 ** 400
+    monkeypatch.setattr(derivops, "bisect_left", no_rank)
+    for p, fields, bits in (
+        (g(999) ** wide * g(1000) ** wide, 1001, 1330),
+        (sum((g(i) * g(1000) ** 2 ** 60 for i in range(40)), Poly.zero()), 1001, 62),
+        (g(1000) ** 2 ** 16, 1001, 17),
+        (g(5) ** 10 ** 4000 * g(201), 202, 13288),
+    ):
+        t0 = perf_counter()
+        with pytest.raises(ValueError, match=(
+            f"keys of {fields} fields of {bits} bits measure fields\\^2 \\* bits = "
+            f"{fields * fields * bits}, past the derivation key limit {derivops._MAX_KEY_SIZE}$"
+        )):
+            d(p)
+        assert perf_counter() - t0 < 1.0
+    monkeypatch.undo()
+    assert d._packed is table  # a refused call leaves the table as it was
+    _check_packed(d, narrow)
+    # just inside the limit: 1001 fields of 16 bits, and 6 fields of 13288 bits
+    for p in (g(1000) ** (2 ** 16 - 2) * g(2), g(5) ** 10 ** 4000):
+        assert d(p) == call_reference(d, p)

@@ -184,13 +184,6 @@ def test_slice_and_localized_poly_records():
         loc.denom_power = 0
 
 
-def test_localized_poly_str():
-    sig = dixmier_sigma(Derivation.fibonacci(), fibonacci_slice(), 3)
-    assert str(sig) == "(x1*x3 - x2^2) / x1"
-    triv = dixmier_sigma(Derivation.fibonacci(), fibonacci_slice(), 1)
-    assert str(triv) == "x1"
-
-
 # ---- references for the integer Cayley builders ------------------------
 #
 # Plainer forms of both routes, with the Dixmier weights and the closed

@@ -411,7 +411,14 @@ def test_table_size_limit():
     for route in ROUTES:
         assert alpha(AL, top, top // 2, route) == 0  # the boundary n = 2s
         assert alpha(AF, top, 1, route) == AF_FORMULAS[1](top)
-        assert psi(AF, top, route).defined_range() == list(range(top + 1))
+        sub = psi(AF, top, route)
+        assert sub.image(top) == Poly.from_terms(
+            [(((top + 1, 1),), 1)]
+            + [(((top + 1 - 2 * s, 1),), alpha(AF, top, s, route))
+               for s in range(1, (top - 1) // 2 + 1)]
+        )
+        with pytest.raises(ValueError, match=f"no image for generator x{top + 1}"):
+            sub.image(top + 1)
         for bad in (
             lambda: alpha_rows(AL, 1, top + 1, route),
             lambda: alpha_rows(AF, top // 2 + 1, 0, route),
@@ -630,7 +637,9 @@ def test_linear_substitution_validation():
     assert sub.image(1) == Fraction(1, 2) * g(3)
     with pytest.raises(ValueError, match="x7"):
         sub.image(7)
-    assert sub.defined_range() == [0, 1]
+    assert sub.image(0) == g(0)
+    with pytest.raises(ValueError, match="x2"):
+        sub.image(2)
 
 
 def test_psi_applies_to_polynomials():
