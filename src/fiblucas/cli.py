@@ -143,7 +143,7 @@ def _cmd_scan(args) -> int:
                 f"n={row['n']:<3d} constant={constant:<6s} "
                 f"expected={row['expected']:<3s} {verdict}"
             )
-    scored_from = 3 if result["family"] == families.FIBONACCI else 2
+    scored_from = next(row["n"] for row in result["rows"] if not row["boundary"])
     verdict = "PASS" if result["ok"] else "FAIL"
     print(f"conjecture ({result['family']}, n={scored_from}..{result['n_max']}): {verdict}")
     return 0 if result["ok"] else 1

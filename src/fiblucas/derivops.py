@@ -51,11 +51,11 @@ CUSTOM = "custom"
 
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
-# Size limit on one application in `power`: the (term, image term) pairs
-# it would touch, counted first.  At the limit, on CPython 3.11 and a
-# 2-vCPU x86-64 VM, applying D to terms of D(x1000 x999^2) takes 1.1-1.3 s
-# (3.3-4.0 s times x1000^4096: wider keys); C_150, at 149 075 pairs, takes
-# about 0.1 s.
+# Size limit on one call of `power`: the (term, image term) pairs of all
+# its applications, summed and checked before each one runs.  At the
+# limit, on CPython 3.11 and a 2-vCPU x86-64 VM, applying D to terms of
+# D(x1000 x999^2) takes 1.1-1.3 s (3.3-4.0 s times x1000^4096: wider
+# keys); C_150, at 149 075 pairs, takes about 0.1 s.
 _MAX_LEIBNIZ_PAIRS = 250_000
 
 # Size limit on the packed keys of one call, checked where the field width
@@ -217,19 +217,19 @@ class Derivation:
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged.  An application that
-        would touch more than _MAX_LEIBNIZ_PAIRS pairs raises ValueError first."""
+        would take this call's pairs past _MAX_LEIBNIZ_PAIRS raises ValueError first."""
         if k < 0:
             raise ValueError("power must be >= 0")
-        out = p
+        out, total = p, 0
         for _ in range(k):
             if out.is_zero():
                 break
             # x is skipped: __call__ rejects it with its own message
-            pairs = sum(len(self.image(v)) for m in out.numerators()[0] for v, _ in m if v != X)
-            if pairs > _MAX_LEIBNIZ_PAIRS:
+            total += sum(len(self.image(v)) for m in out.numerators()[0] for v, _ in m if v != X)
+            if total > _MAX_LEIBNIZ_PAIRS:
                 raise ValueError(
-                    f"the next application would touch {pairs} (term, image term) pairs, "
-                    f"past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}"
+                    f"the next application would bring the (term, image term) pairs of "
+                    f"this power to {total}, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}"
                 )
             out = self(out)
         return out

@@ -18,6 +18,7 @@ derivations everywhere else in the package.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .exactnum import TruncatedSeries
@@ -28,6 +29,7 @@ __all__ = [
     "LUCAS",
     "APPELL",
     "family_poly",
+    "family_values",
     "derivative_terms",
     "derivative_rhs",
     "verify_derivative_formula",
@@ -42,8 +44,8 @@ _FAMILIES = (FIBONACCI, LUCAS, APPELL)
 
 # Largest index of a family polynomial, and of a generator that the
 # built-in derivations and the family substitution accept.  P_n and
-# D(x_n) have about n/2 terms; `identity` on x_1000 takes about 1 s
-# (CPython 3.11, 2-vCPU x86-64 VM), most of it building P_0..P_1000.
+# D(x_n) have about n/2 terms; `identity` on x_1000 takes about 0.17 s
+# end to end (CPython 3.11, 2-vCPU x86-64 VM), 0.05 s of it substituting.
 _MAX_FAMILY_INDEX = 1000
 
 
@@ -72,6 +74,21 @@ def family_poly(kind: str, n: int) -> Poly:
     for m in range(3, n - 1):
         family_poly(kind, m)
     return x * family_poly(kind, n - 1) + family_poly(kind, n - 2)
+
+
+def family_values(kind: str, b: int, wanted: Iterable[int]) -> dict[int, int]:
+    """{v: P_v(2^b)} for v in wanted, P the Fibonacci or Lucas family, from
+    the recurrence in ints, where x*P is P << b.  At b = 0 this is P_v(1),
+    the sum of P_v's absolute coefficients, as none of them is negative."""
+    _check_kind(kind, (FIBONACCI, LUCAS))
+    wanted, out = set(wanted), {}
+    # from the classical L_0 = 2 the recurrence gives L_2 = x^2 + 2
+    low, high = (0, 1) if kind == FIBONACCI else (2, 1 << b)
+    for n in range(max(wanted, default=-1) + 1):
+        if n in wanted:
+            out[n] = 1 if kind == LUCAS and n == 0 else low
+        low, high = high, (high << b) + low
+    return out
 
 
 def derivative_terms(kind: str, n: int) -> list[tuple[int, int]]:

@@ -16,7 +16,8 @@ from math import prod
 
 from .derivops import Derivation, kernel_member
 from .dixmier import _check_cayley_args, cayley_closed
-from .families import _MAX_FAMILY_INDEX, FIBONACCI, LUCAS, family_poly
+from .families import _MAX_FAMILY_INDEX, FIBONACCI, LUCAS, family_values
+from .families import family_poly  # noqa: F401  perfbench/launcher.py wraps it here by name
 from .intertwine import AL, psi
 from .polyring import Mono, Poly, X, clip, det, divide_by_generator, json_text, var_name
 
@@ -39,30 +40,9 @@ def _check_family(family: str) -> None:
         raise ValueError(f"family must be fibonacci or lucas, got {family!r}")
 
 
-def _pack(img: Poly, b: int) -> int:
-    """Kronecker packing of a polynomial in x with integer coefficients
-    (as family polynomials have): its value at x = 2^b."""
-    return _pack_terms([(m[0][1] if m else 0, c) for m, c in img.numerators()[0].items()], b, 0)
-
-
-def _pack_terms(terms: list[tuple[int, int]], b: int, low: int) -> int:
-    """sum c << (b*(e-low)) over (e, c) pairs.  Past 32 terms, by halves
-    in e: the high half is packed, shifted and added to the low half, so
-    the cost is not quadratic in the number of terms as one running
-    sum's is."""
-    if len(terms) <= 32:
-        return sum(c << (b * (e - low)) for e, c in terms)
-    terms = sorted(terms)
-    half = len(terms) // 2
-    mid = terms[half][0]
-    return (_pack_terms(terms[half:], b, mid) << (b * (mid - low))) + _pack_terms(
-        terms[:half], b, low
-    )
-
-
 def _unpack(packed: int, b: int) -> list[int]:
-    """Balanced base-2^b digits of ``packed``, lowest first; inverts
-    _pack when every digit lies in [-2^(b-1), 2^(b-1))."""
+    """Balanced base-2^b digits of ``packed``, lowest first: the coefficients
+    of a polynomial from its value at x = 2^b, if all lie in [-2^(b-1), 2^(b-1))."""
     mask, half = (1 << b) - 1, 1 << (b - 1)
     digits = []
     while packed:
@@ -115,12 +95,12 @@ def phi_subst(family: str, p: Poly) -> Poly:
     """Substitute x_i -> family polynomial i; result is univariate in x.
 
     Kronecker substitution over the integers: with den the common
-    denominator of p, each image is packed into one int, its value at
-    x = 2^b, so den*p evaluates to one int whose digits, divided by
-    den, are the result's coefficients.  No result coefficient exceeds
-    sum |c*den| * prod ||image_v||_1^e in size (||.||_1 the sum of
-    absolute coefficients), so b two bits past that bound decodes
-    exactly.
+    denominator of p, each image P_v is one int, its value at x = 2^b
+    straight from the family recurrence, so den*p evaluates to one int
+    whose digits, divided by den, are the result's coefficients.  No
+    result coefficient exceeds sum |c*den| * prod P_v(1)^e in size (P_v(1)
+    is the sum of P_v's absolute coefficients), so b two bits past that
+    bound decodes exactly.
     """
     _check_family(family)
     gens = p.generator_vars()
@@ -134,12 +114,13 @@ def phi_subst(family: str, p: Poly) -> Poly:
         raise ValueError(
             f"substituted degree {degree} is past the degree limit {_MAX_SUBST_DEGREE}"
         )
-    images = {v: family_poly(family, v) for v in gens}
-    images[X] = Poly.x()
     nums, den = p.numerators()
-    norms = {v: sum(map(abs, img.numerators()[0].values())) for v, img in images.items()}
+    norms = family_values(family, 0, gens)
+    norms[X] = 1
     b = _evaluate([(m, abs(c)) for m, c in nums.items()], norms).bit_length() + 2
-    total = _evaluate(nums.items(), {v: _pack(img, b) for v, img in images.items()})
+    packed = family_values(family, b, gens)
+    packed[X] = 1 << b
+    total = _evaluate(nums.items(), packed)
     return Poly._make(
         {((X, k),) if k else (): d for k, d in enumerate(_unpack(total, b)) if d}, den
     )

@@ -341,10 +341,8 @@ def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: out of memory\n")
 
 
-@pytest.mark.parametrize("family", ["fib", "lucas"])
-def test_derive_power_refused_past_the_pair_limit(tmp_path, capsys, monkeypatch, family):
-    # D^2 of x1000 x999^2 touches about 10^6 (term, image term) pairs and
-    # D^3 about 4*10^8: the second application is refused before it runs
+def counted_applications(monkeypatch):
+    """The term count of each Derivation application from here on."""
     applied = []
     call = Derivation.__call__
 
@@ -353,14 +351,39 @@ def test_derive_power_refused_past_the_pair_limit(tmp_path, capsys, monkeypatch,
         return call(self, p)
 
     monkeypatch.setattr(Derivation, "__call__", counting)
+    return applied
+
+
+@pytest.mark.parametrize("family", ["fib", "lucas"])
+def test_derive_power_refused_past_the_pair_limit(tmp_path, capsys, monkeypatch, family):
+    # D^2 of x1000 x999^2 touches about 10^6 (term, image term) pairs and
+    # D^3 about 4*10^8: the second application is refused before it runs,
+    # and the error names the total of the first two
+    applied = counted_applications(monkeypatch)
     path = poly_file(tmp_path, g(1000) * g(999) ** 2)
     code, out, err = run(capsys, "derive", "--family", family, "--input", path, "--power", "3")
     assert (code, out) == (2, "")
     assert applied == [1]
-    pairs = 997002 if family == "fib" else 999500
+    pairs = 998001 if family == "fib" else 1000500
     assert err == (
-        f"error: the next application would touch {pairs} (term, image term) pairs, "
-        f"past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
+        f"error: the next application would bring the (term, image term) pairs of "
+        f"this power to {pairs}, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
+    )
+
+
+def test_derive_power_bounds_many_small_applications(tmp_path, capsys, monkeypatch):
+    # no single Lucas application on x2^3000 comes near the pair limit (a
+    # term x0^a x1^b x2^c meets at most two image terms), but their
+    # running total passes it after 706 of the 3000
+    applied = counted_applications(monkeypatch)
+    path = poly_file(tmp_path, g(2) ** 3000)
+    code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path, "--power", "3000")
+    assert (code, out) == (2, "")
+    assert len(applied) == 706
+    assert max(applied) * 2 < _MAX_LEIBNIZ_PAIRS // 100
+    assert err == (
+        "error: the next application would bring the (term, image term) pairs of "
+        f"this power to 250278, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
     )
 
 

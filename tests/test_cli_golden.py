@@ -3,8 +3,9 @@
 Each case runs `python -m fiblucas` as a subprocess and compares the
 sha256 of its exit code and stdout bytes with a recorded literal, so
 any change to what a command prints, down to one byte, fails here.
-The cases cover every subcommand at small sizes and every example of
-the README's "Command line" section.  Inputs are written as literal
+The cases cover every subcommand at small sizes, `identity` at the top
+of the generator index range, and every example of the README's
+"Command line" section.  Inputs are written as literal
 JSON text, independent of the code under test.
 """
 
@@ -31,6 +32,12 @@ INPUTS = {
     # the Lucas Cayley element C_2 = x0 x2 - x1^2, over 5
     "l2.json": '{"terms": [{"coeff": "1/5", "exps": {"x0": 1, "x2": 1}}, '
                '{"coeff": "-1/5", "exps": {"x1": 2}}]}',
+    # single generators at the top of the index range
+    "x1000.json": '{"terms": [{"coeff": "1", "exps": {"x1000": 1}}]}',
+    "x999.json": '{"terms": [{"coeff": "1", "exps": {"x999": 1}}]}',
+    # 1/3 x2 x400 - x499^2 + 7: high indices, a rational coefficient
+    "mixed.json": '{"terms": [{"coeff": "1/3", "exps": {"x400": 1, "x2": 1}}, '
+                  '{"coeff": "-1", "exps": {"x499": 2}}, {"coeff": "7", "exps": {}}]}',
 }
 
 # name -> (argv, stdin file or None, sha256 of b"<exit code>\n" + stdout)
@@ -100,6 +107,26 @@ CASES = {
     "identity-non-constant": (
         ["identity", "--family", "lucas", "--input", "p.json"], None,
         "cd2dc2b4d582f49141ceba2e29da7c2a9aa2f9ef24dcbdfcc73074fa618076d9",
+    ),
+    "identity-fib-x1000": (
+        ["identity", "--family", "fib", "--input", "x1000.json"], None,
+        "fd440d698048216d2d2e779613ac3e55d6f7efa8268b578f2f5ac5aef1a2f049",
+    ),
+    "identity-lucas-x999": (
+        ["identity", "--family", "lucas", "--input", "x999.json"], None,
+        "64ae77c6caa41ea34a2a447af6c16ace2926e94609d07d4ace8c3fa4eac1f5e5",
+    ),
+    "identity-fib-mixed": (
+        ["identity", "--family", "fib", "--input", "mixed.json"], None,
+        "8daf48396d04015549865049c0377835dd5f1b4b68edfa5374e8f4b6a689cf67",
+    ),
+    "identity-lucas-mixed": (
+        ["identity", "--family", "lucas", "--input", "mixed.json"], None,
+        "8835b100873d9a9e214febb1d89c4db7ec8662d2288c72768c48f16330f299cd",
+    ),
+    "identity-lucas-mixed-latex": (
+        ["identity", "--family", "lucas", "--input", "mixed.json", "--format", "latex"], None,
+        "62763e710d1836c038414a6c932ca1fc41e8fa4c82eb1045617cfbe670a79ff4",
     ),
     "scan-fib": (
         ["scan", "--family", "fib", "--max", "12"], None,

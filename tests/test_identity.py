@@ -7,11 +7,10 @@ import pytest
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
-from fiblucas.families import _MAX_FAMILY_INDEX, family_poly
+from fiblucas.families import _MAX_FAMILY_INDEX, family_poly, family_values
 from fiblucas.identity import (
     _MAX_SUBST_DEGREE,
     IdentityReport,
-    _pack,
     _subst_degree,
     _unpack,
     conjecture_scan,
@@ -103,26 +102,43 @@ def test_phi_decodes_coefficients_at_the_proved_bound():
         assert phi_subst(family, p) == want == sparse_phi(family, p)
 
 
+def plain_pack(img, b):
+    """The reference packing: the value at x = 2^b of a polynomial in x
+    with integer coefficients, as one running sum over its terms."""
+    return sum(c << (b * (m[0][1] if m else 0)) for m, c in img.numerators()[0].items())
+
+
 def test_pack_unpack_round_trip_at_digit_extremes():
     b = 8
     half = 1 << (b - 1)
     digits = [half - 1, -half, -1, half - 1, 0, -half, 1, -half]
-    packed = _pack(Poly.from_terms((((X, k),) if k else (), d) for k, d in enumerate(digits)), b)
+    img = Poly.from_terms((((X, k),) if k else (), d) for k, d in enumerate(digits))
+    packed = plain_pack(img, b)
     assert _unpack(packed, b) == digits
-    assert _unpack(_pack(Poly.zero(), b), b) == []
+    assert _unpack(plain_pack(Poly.zero(), b), b) == []
 
 
 @pytest.mark.parametrize("family", ["fibonacci", "lucas"])
-def test_pack_by_halves_matches_plain_sum(family):
-    # the packed int is the same as one running sum's, past the 32-term
-    # base case and below it, carries between digits included
-    rng = random.Random(f"pack-{family}")
-    indices = [0, 1, 2, 63, 64, 65, 66, 129, _MAX_FAMILY_INDEX] + rng.sample(range(3, 700), 12)
+def test_family_values_match_packed_family_polynomials(family):
+    # P_v(2^b) from the integer recurrence is the packed family polynomial,
+    # carries between digits included; b = 0 gives P_v(1) = ||P_v||_1
+    rng = random.Random(f"values-{family}")
+    indices = [0, 1, 2, 3, 63, 64, 65, _MAX_FAMILY_INDEX] + rng.sample(range(4, 1000), 12)
+    for b in (0, 1, 2, 7, 64, rng.randint(65, 3000)):
+        values = family_values(family, b, indices)
+        assert values == {n: plain_pack(family_poly(family, n), b) for n in indices}, (family, b)
+        assert family_values(family, b, []) == {}
     for n in indices:
         img = family_poly(family, n)
-        for b in (1, 2, 7, 64, rng.randint(65, 3000)):
-            plain = sum(c << (b * (m[0][1] if m else 0)) for m, c in img.numerators()[0].items())
-            assert _pack(img, b) == plain, (family, n, b)
+        assert family_values(family, 0, [n])[n] == sum(map(abs, img.numerators()[0].values()))
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_phi_builds_no_family_polynomial(family):
+    family_poly.cache_clear()
+    for p in (g(1000), g(990) * g(2), g(999) - 3 * g(400) * g(499) + Poly.x()):
+        phi_subst(family, p)
+    assert family_poly.cache_info().currsize == 0
 
 
 def test_phi_and_scan_size_limits():
