@@ -54,15 +54,20 @@ def _check_kind(kind: str, allowed=_FAMILIES) -> None:
         raise ValueError(f"unknown family kind: {kind!r}")
 
 
+def _check_index(low: int, high: int) -> None:
+    """Refuse family indices from low to high outside 0.._MAX_FAMILY_INDEX."""
+    if low < 0:
+        raise ValueError("family index must be >= 0")
+    if high > _MAX_FAMILY_INDEX:
+        shown = clip(str(high), str)
+        raise ValueError(f"family index {shown} is past the family index limit {_MAX_FAMILY_INDEX}")
+
+
 @lru_cache(maxsize=None)
 def family_poly(kind: str, n: int) -> Poly:
     """The n-th member of the family, a polynomial in x."""
     _check_kind(kind)
-    if n < 0:
-        raise ValueError("family index must be >= 0")
-    if n > _MAX_FAMILY_INDEX:
-        shown = clip(str(n), str)
-        raise ValueError(f"family index {shown} is past the family index limit {_MAX_FAMILY_INDEX}")
+    _check_index(n, n)
     x = Poly.x()
     if kind == APPELL:
         return x ** n
@@ -82,9 +87,11 @@ def family_values(kind: str, b: int, wanted: Iterable[int]) -> dict[int, int]:
     the sum of P_v's absolute coefficients, as none of them is negative."""
     _check_kind(kind, (FIBONACCI, LUCAS))
     wanted, out = set(wanted), {}
+    top = max(wanted, default=-1)
+    _check_index(min(wanted, default=0), top)
     # from the classical L_0 = 2 the recurrence gives L_2 = x^2 + 2
     low, high = (0, 1) if kind == FIBONACCI else (2, 1 << b)
-    for n in range(max(wanted, default=-1) + 1):
+    for n in range(top + 1):
         if n in wanted:
             out[n] = 1 if kind == LUCAS and n == 0 else low
         low, high = high, (high << b) + low

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
 
 from .derivops import Derivation, kernel_member
 from .dixmier import _check_cayley_args, cayley_closed
@@ -42,16 +42,18 @@ def _check_family(family: str) -> None:
 
 def _unpack(packed: int, b: int) -> list[int]:
     """Balanced base-2^b digits of ``packed``, lowest first: the coefficients
-    of a polynomial from its value at x = 2^b, if all lie in [-2^(b-1), 2^(b-1))."""
-    mask, half = (1 << b) - 1, 1 << (b - 1)
-    digits = []
-    while packed:
-        d = packed & mask
-        packed >>= b
-        if d >= half:
-            d -= 1 << b
-            packed += 1
-        digits.append(d)
+    of a polynomial from its value at x = 2^b, if all lie in [-2^(b-1), 2^(b-1)).
+    Linear time: each b-bit field is read from one buffer of packed's
+    two's-complement bits, and a spare top field takes the last carry."""
+    bits = (packed.bit_length() // b + 2) * b
+    buf = (packed & ((1 << bits) - 1)).to_bytes((bits + 7) >> 3, "little")
+    mask, half, carry, digits = (1 << b) - 1, 1 << (b - 1), 0, []
+    for lo in range(0, bits, b):
+        d = (int.from_bytes(buf[lo >> 3 : (lo + b + 7) >> 3], "little") >> (lo & 7) & mask) + carry
+        carry = d >= half
+        digits.append(d - (carry << b))
+    while digits and not digits[-1]:
+        digits.pop()
     return digits
 
 
@@ -59,65 +61,86 @@ def _evaluate(terms: list[tuple[Mono, int]], base: dict[int, int]) -> int:
     """sum c * prod base[v]^e over the (monomial, c) terms.
 
     One Horner level: terms that share all but their last factor are
-    summed first, so the shared factors are multiplied in once.
+    summed first, so the shared factors are multiplied in once.  The
+    power memo is read inline (a zero power is simply recomputed).
     """
     powers: dict[tuple[int, int], int] = {}
-
-    def power(ve: tuple[int, int]) -> int:
-        if ve not in powers:
-            powers[ve] = base[ve[0]] ** ve[1]
-        return powers[ve]
-
     groups: dict[Mono, int] = {}
     for m, c in terms:
         if m:
-            c *= power(m[-1])
-        groups[m[:-1]] = groups.get(m[:-1], 0) + c
-    return sum(c * prod(map(power, rest)) for rest, c in groups.items())
+            ve = m[-1]
+            c *= powers.get(ve) or powers.setdefault(ve, base[ve[0]] ** ve[1])
+            m = m[:-1]
+        groups[m] = groups.get(m, 0) + c
+    total = 0
+    for rest, c in groups.items():
+        for ve in rest:
+            c *= powers.get(ve) or powers.setdefault(ve, base[ve[0]] ** ve[1])
+        total += c
+    return total
 
 
-def _subst_degree(family: str, p: Poly) -> int:
-    """Bound on the degree in x of phi_subst(family, p), read off the
-    exponents: deg F_v = v-1, deg L_v = v (F_0, F_1 and L_0 add nothing).
-    Plain loops: scan runs this on every Cayley element."""
+@lru_cache(maxsize=None)
+def _norm_bits(family: str) -> tuple[int, ...]:
+    """ceil(log2 P_v(1)) for v = 0.._MAX_FAMILY_INDEX, 0 where P_v(1) <= 1."""
+    norms = family_values(family, 0, range(_MAX_FAMILY_INDEX + 1))
+    return tuple([(norms[v] - 1).bit_length() if norms[v] else 0 for v in sorted(norms)])
+
+
+def _subst_bounds(family: str, nums: dict[Mono, int]) -> tuple[set[int], int, int]:
+    """Pass 1 of phi_subst: the generators, degree bound and width N' of the
+    numerators.  The degree is read off the exponents: deg F_v = v-1,
+    deg L_v = v (F_0, F_1 and L_0 add nothing).  Refuses a generator past the
+    index limit, then a degree past the degree limit; a term past the degree
+    limit is never shifted."""
     shift = 1 if family == FIBONACCI else 0
-    top = 0
-    for m in p.numerators()[0]:
-        degree = 0
-        for v, e in m:
-            degree += e * (v - shift if v > shift else 1 if v == X else 0)
-        if degree > top:
-            top = degree
-    return top
+    bits, gens = _norm_bits(family), set()
+    top = width = 0
+    try:
+        for m, c in nums.items():
+            degree = log = 0
+            vanishes = False
+            for v, e in m:
+                gens.add(v)
+                if v > shift:
+                    degree += e * (v - shift)
+                    log += e * bits[v]
+                elif v == X:
+                    degree += e
+                elif v < shift:  # the Fibonacci x_0: F_0 = 0
+                    vanishes = True
+            if degree > top:
+                top = degree
+            if not vanishes and degree <= _MAX_SUBST_DEGREE:
+                width += abs(c) << log
+    except IndexError:  # bits ends at the family index limit
+        name = clip(var_name(max(v for m in nums for v, _ in m)), str)
+        raise ValueError(
+            f"generator {name} is past the family index limit {_MAX_FAMILY_INDEX}"
+        ) from None
+    if top > _MAX_SUBST_DEGREE:
+        raise ValueError(f"substituted degree {top} is past the degree limit {_MAX_SUBST_DEGREE}")
+    gens.discard(X)
+    return gens, top, width
 
 
 def phi_subst(family: str, p: Poly) -> Poly:
     """Substitute x_i -> family polynomial i; result is univariate in x.
 
-    Kronecker substitution over the integers: with den the common
-    denominator of p, each image P_v is one int, its value at x = 2^b
-    straight from the family recurrence, so den*p evaluates to one int
-    whose digits, divided by den, are the result's coefficients.  No
-    result coefficient exceeds sum |c*den| * prod P_v(1)^e in size (P_v(1)
-    is the sum of P_v's absolute coefficients), so b two bits past that
-    bound decodes exactly.
+    Kronecker substitution over the integers, in two passes over the terms.
+    With den the common denominator of p, each image P_v is one int, its
+    value at x = 2^b straight from the family recurrence, so den*p
+    evaluates to one int whose digits, divided by den, are the result's
+    coefficients.  No result coefficient exceeds N = sum |c*den| *
+    prod P_v(1)^e in size (P_v(1) is the sum of P_v's absolute
+    coefficients).  Pass 1 bounds it by N' = sum |c*den| << sum e *
+    ceil(log2 P_v(1)) >= N, leaving out terms with the factor F_0 = 0, so
+    b two bits past N' decodes exactly; pass 2 is the packed evaluation.
     """
     _check_family(family)
-    gens = p.generator_vars()
-    if gens and max(gens) > _MAX_FAMILY_INDEX:
-        raise ValueError(
-            f"generator {clip(var_name(max(gens)), str)} is past the family index limit "
-            f"{_MAX_FAMILY_INDEX}"
-        )
-    degree = _subst_degree(family, p)
-    if degree > _MAX_SUBST_DEGREE:
-        raise ValueError(
-            f"substituted degree {degree} is past the degree limit {_MAX_SUBST_DEGREE}"
-        )
     nums, den = p.numerators()
-    norms = family_values(family, 0, gens)
-    norms[X] = 1
-    b = _evaluate([(m, abs(c)) for m, c in nums.items()], norms).bit_length() + 2
+    gens, _, width = _subst_bounds(family, nums)
+    b = width.bit_length() + 2
     packed = family_values(family, b, gens)
     packed[X] = 1 << b
     total = _evaluate(nums.items(), packed)

@@ -14,7 +14,7 @@ from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_LEIBNIZ_PAIRS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
 from fiblucas.families import _MAX_FAMILY_INDEX
 from fiblucas.intertwine import _MAX_INTERTWINE_N
-from fiblucas.polyring import Poly
+from fiblucas.polyring import Poly, X
 
 
 def g(n):
@@ -217,6 +217,12 @@ def test_size_limits_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "identity", "--family", "lucas", "--input", path)
     assert (code, out) == (2, "")
     assert "degree limit" in err
+    # a huge exponent is refused on its degree, before any digit width is computed
+    for family, exps, degree in (("fib", {5: 10**12}, 4 * 10**12), ("lucas", {X: 10**12}, 10**12)):
+        path = poly_file(tmp_path, Poly.term(1, exps))
+        code, out, err = run(capsys, "identity", "--family", family, "--input", path)
+        assert (code, out, err) == (
+            2, "", f"error: substituted degree {degree} is past the degree limit 1000\n")
     code, out, err = run(
         capsys, "intertwine", "--kind", "AL", "--max", str(_MAX_INTERTWINE_N + 1), "--route", "all"
     )

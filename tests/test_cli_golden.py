@@ -4,9 +4,9 @@ Each case runs `python -m fiblucas` as a subprocess and compares the
 sha256 of its exit code and stdout bytes with a recorded literal, so
 any change to what a command prints, down to one byte, fails here.
 The cases cover every subcommand at small sizes, `identity` at the top
-of the generator index range, and every example of the README's
-"Command line" section.  Inputs are written as literal
-JSON text, independent of the code under test.
+of the generator index range, `scan` at the top of the Cayley range,
+and every example of the README's "Command line" section.  Inputs are
+written as literal JSON text, independent of the code under test.
 """
 
 import hashlib
@@ -131,6 +131,15 @@ CASES = {
     "scan-fib": (
         ["scan", "--family", "fib", "--max", "12"], None,
         "7fa1eb3b83bb3f9c8a35288718e94ff77497a72384586d5d49d1ee80c92dcf4d",
+    ),
+    # scan at the top of the Cayley range, both families
+    "scan-fib-150": (
+        ["scan", "--family", "fib", "--max", "150"], None,
+        "6baf3d22e7be460e52ce5c14591074b925ecba220a554278e537052272bbd04d",
+    ),
+    "scan-lucas-150": (
+        ["scan", "--family", "lucas", "--max", "150"], None,
+        "3546d0070976fe616aafc08ee90012a8bbc7b4f343c480e8aa2107ddb53e299c",
     ),
     "intertwine-al-all": (
         ["intertwine", "--kind", "AL", "--max", "9", "--route", "all"], None,
