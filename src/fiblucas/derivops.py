@@ -19,11 +19,9 @@ Applying a derivation to the distinguished indeterminate x is an
 error: the generator ring and the x ring are never mixed silently.
 
 Derivations run over packed monomial keys: x_v's exponent sits in a
-``bits``-wide field at ``bits * rank(v)``, so the monomial of a Leibniz
-pair is one int addition.  rank(v) is v for the built-ins, and for a
-custom table the position of v among its keys and image variables (a key
-x_(10**100) costs nothing extra).  ``bits`` covers every exponent of the
-input and the result, so no field carries, and is never a multiple of 61.
+``bits``-wide field at ``bits * v``, so the monomial of a Leibniz pair is
+one int addition.  ``bits`` covers every exponent of the input and the
+result, so no field carries, and is never a multiple of 61.
 Each instance keeps one packed image table, repacked only when a call
 needs wider fields; keys past _MAX_KEY_SIZE are refused before one is built.
 
@@ -33,13 +31,12 @@ to the Cayley elements built from them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
 from math import lcm
 
-from .families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, derivative_terms
-from .polyring import X, Poly, clip, var_name
+from .families import APPELL, FIBONACCI, LUCAS, derivative_terms
+from .polyring import X, Poly, _check_index, var_name
 
 __all__ = [
     "Derivation",
@@ -59,7 +56,7 @@ _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 _MAX_LEIBNIZ_PAIRS = 250_000
 
 # Size limit on the packed keys of one call, checked where the field width
-# or the table is set up: fields^2 * bits, fields the ranks up to the
+# or the table is set up: fields^2 * bits, fields the generators up to the
 # highest.  A built-in image of x_v has about v/2 terms, so this is about
 # twice the key bits one input term yields.  x1000 takes exponents below
 # 2^16.  In a slower run on the same kind of VM, D at the pair limit on
@@ -75,14 +72,12 @@ def builtin_image(kind: str, n: int) -> Poly:
     """Generator image D(x_n) for one of the built-in derivations."""
     if kind not in _BUILTINS:
         raise ValueError(f"unknown derivation kind: {kind!r}")
-    if n < 0:
-        raise ValueError("generator index must be >= 0")
-    if n > _MAX_FAMILY_INDEX:
-        raise ValueError(
-            f"generator {clip(var_name(n), str)} is past the derivation index limit "
-            f"{_MAX_FAMILY_INDEX}"
-        )
-    return Poly.from_terms((((i, 1),), c) for i, c in derivative_terms(kind, n))
+    return Poly.from_terms((((i, 1),), c) for i, c in derivative_terms(kind, _check_index(n)))
+
+
+def _pack(monos, bits: int) -> dict:
+    """monomial -> packed key, x_v's exponent in the bits-wide field at bits * v."""
+    return {m: sum(e << bits * v for v, e in m) for m in monos}
 
 
 class Derivation:
@@ -94,16 +89,16 @@ class Derivation:
     packed images; built-in images are memoized process-wide.
     """
 
-    __slots__ = ("kind", "_images", "_den", "_order", "_top", "_bits", "_keys", "_packed")
+    __slots__ = ("kind", "_images", "_den", "_high", "_top", "_bits", "_keys", "_packed")
 
     def __init__(
         self, kind: str, images: Mapping[int, Poly] | None = None
     ) -> None:
-        # packed keys: rank(v) = bisect_left(_order, v); _top = max image degree - 1, or 0
+        # _high: the highest generator of a custom table, or -1; _top: max image degree - 1, or 0
         if kind in _BUILTINS:
             if images is not None:
                 raise ValueError("built-in derivations take no image table")
-            self._images, self._order, self._top = None, range(_MAX_FAMILY_INDEX + 1), 0
+            self._images, self._high, self._top = None, -1, 0
         elif kind == CUSTOM:
             if images is None:
                 raise ValueError("custom derivation needs an image table")
@@ -113,7 +108,8 @@ class Derivation:
                         f"image of x{n} may not contain the indeterminate x"
                     )
             self._images = dict(images)
-            self._order = sorted(set(images).union(*map(Poly.variables, images.values())))
+            gens = set(images).union(*map(Poly.variables, images.values()))
+            self._high = max(map(_check_index, gens), default=-1)
             self._top = max([1, *map(Poly.degree, images.values())]) - 1
         else:
             raise ValueError(f"unknown derivation kind: {kind!r}")
@@ -176,9 +172,9 @@ class Derivation:
         fresh = [(v, self.image(v).numerators())
                  for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in table]
         if fresh:
-            # one field per rank up to the highest: rank(v) = v for the built-ins,
-            # and a custom image may reach any rank
-            fields = max(v for v, _ in fresh) + 1 if self._images is None else len(self._order)
+            # one field per generator up to the highest: a built-in image lowers
+            # the index, and a custom image may reach the table's highest
+            fields = max(self._high, *(v for v, _ in fresh)) + 1
             if (size := fields * fields * bits) > _MAX_KEY_SIZE:
                 raise ValueError(
                     f"packed monomial keys of {fields} fields of {bits} bits measure "
@@ -187,10 +183,9 @@ class Derivation:
         if grow:
             # _keys: monomial -> key; _packed: v -> (unit key of x_v, image keys, numerators)
             self._bits, self._keys, self._packed = bits, {}, table
-        keys, order = self._keys, self._order
+        keys = self._keys
         for v, (img, den) in fresh:  # one key int per monomial, shared by the images
-            keys.update((m, sum(e << bits * bisect_left(order, w) for w, e in m))
-                        for m in (((v, 1),), *img) if m not in keys)
+            keys.update(_pack([m for m in (((v, 1),), *img) if m not in keys], bits))
             scale = self._den // den  # 1 shares the image's own ints
             coeffs = tuple(img.values() if scale == 1 else (c * scale for c in img.values()))
             table[v] = keys[((v, 1),)], tuple(map(keys.__getitem__, img)), coeffs
@@ -210,7 +205,7 @@ class Derivation:
                 factors = []
                 while k:  # one step per factor: the field of the lowest set bit
                     shift = ((k & -k).bit_length() - 1) // bits * bits
-                    factors.append((order[shift // bits], k >> shift & mask))
+                    factors.append((shift // bits, k >> shift & mask))
                     k -= factors[-1][1] << shift
                 out[tuple(factors)] = c
         return Poly._make(out, p_den * self._den)

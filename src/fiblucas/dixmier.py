@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, lcm
 
-from .derivops import Derivation
+from .derivops import CUSTOM, Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS
 from .polyring import Poly
@@ -58,13 +58,13 @@ __all__ = [
     "cayley_constructive",
 ]
 
-_NILPOTENCY_CAP = 512  # iterations before giving up on termination
+_NILPOTENCY_CAP = 512  # iterations of a custom table before giving up on termination
 # Size limit, rejected up front rather than run for minutes.  C_n has
 # about n^2/4 terms.  At the limit, on CPython 3.11 and a 2-vCPU x86-64
 # VM, `cayley --route both` takes about 0.4 s and `scan` about 3.5 s.
 # C_n uses generators up to x_n, so every Cayley element stays within
-# the family index limit and within identity's substituted degree
-# limit: the substituted C_n has degree at most n.
+# the index limit and within identity's substituted degree limit: the
+# substituted C_n has degree at most n.
 _MAX_CAYLEY_N = 150
 
 
@@ -106,9 +106,11 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
         raise ValueError("slice image must be a rational multiple of a single generator")
     (((j, _),), c) = terms[0]
 
+    # a built-in image lowers every index, so D^(n+1)(x_n) = 0
+    cap = _NILPOTENCY_CAP if d.kind == CUSTOM else n + 1
     powers = [Poly.gen(n)]
     while not powers[-1].is_zero():
-        if len(powers) > _NILPOTENCY_CAP:
+        if len(powers) > cap:
             raise ValueError(f"derivation does not look locally nilpotent on x{n}")
         powers.append(d(powers[-1]))
     kmax = len(powers) - 2  # last nonzero index

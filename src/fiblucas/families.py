@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from .exactnum import TruncatedSeries
-from .polyring import Poly, clip
+from .polyring import Poly, _check_index
 
 __all__ = [
     "FIBONACCI",
@@ -42,32 +42,17 @@ APPELL = "appell"
 
 _FAMILIES = (FIBONACCI, LUCAS, APPELL)
 
-# Largest index of a family polynomial, and of a generator that the
-# built-in derivations and the family substitution accept.  P_n and
-# D(x_n) have about n/2 terms; `identity` on x_1000 takes about 0.17 s
-# end to end (CPython 3.11, 2-vCPU x86-64 VM), 0.05 s of it substituting.
-_MAX_FAMILY_INDEX = 1000
-
 
 def _check_kind(kind: str, allowed=_FAMILIES) -> None:
     if kind not in allowed:
         raise ValueError(f"unknown family kind: {kind!r}")
 
 
-def _check_index(low: int, high: int) -> None:
-    """Refuse family indices from low to high outside 0.._MAX_FAMILY_INDEX."""
-    if low < 0:
-        raise ValueError("family index must be >= 0")
-    if high > _MAX_FAMILY_INDEX:
-        shown = clip(str(high), str)
-        raise ValueError(f"family index {shown} is past the family index limit {_MAX_FAMILY_INDEX}")
-
-
 @lru_cache(maxsize=None)
 def family_poly(kind: str, n: int) -> Poly:
     """The n-th member of the family, a polynomial in x."""
     _check_kind(kind)
-    _check_index(n, n)
+    _check_index(n)
     x = Poly.x()
     if kind == APPELL:
         return x ** n
@@ -87,8 +72,7 @@ def family_values(kind: str, b: int, wanted: Iterable[int]) -> dict[int, int]:
     the sum of P_v's absolute coefficients, as none of them is negative."""
     _check_kind(kind, (FIBONACCI, LUCAS))
     wanted, out = set(wanted), {}
-    top = max(wanted, default=-1)
-    _check_index(min(wanted, default=0), top)
+    top = max(map(_check_index, wanted), default=-1)
     # from the classical L_0 = 2 the recurrence gives L_2 = x^2 + 2
     low, high = (0, 1) if kind == FIBONACCI else (2, 1 << b)
     for n in range(top + 1):

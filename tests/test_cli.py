@@ -12,9 +12,8 @@ import pytest
 from fiblucas import cli
 from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_LEIBNIZ_PAIRS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
-from fiblucas.families import _MAX_FAMILY_INDEX
 from fiblucas.intertwine import _MAX_INTERTWINE_N
-from fiblucas.polyring import Poly, X
+from fiblucas.polyring import _MAX_INDEX, Poly, X
 
 
 def g(n):
@@ -30,6 +29,15 @@ def run(capsys, *args):
 def poly_file(tmp_path, p, name="poly.json"):
     path = tmp_path / name
     path.write_text(json.dumps(p.to_json()), encoding="utf-8")
+    return str(path)
+
+
+def gen_file(tmp_path, name):
+    """A JSON file of the one-term polynomial on the generator called name,
+    which need not be one that Poly.gen accepts."""
+    path = tmp_path / "gen.json"
+    doc = {"vars": [name], "terms": [{"coeff": "1", "exps": {name: 1}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -209,10 +217,10 @@ def test_size_limits_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "scan", "--family", "lucas", "--max", "100000")
     assert (code, out) == (2, "")
     assert f"limited to n <= {_MAX_CAYLEY_N}" in err
-    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX + 1))
+    path = gen_file(tmp_path, f"x{_MAX_INDEX + 1}")
     code, out, err = run(capsys, "identity", "--family", "fib", "--input", path)
-    assert (code, out) == (2, "")
-    assert f"family index limit {_MAX_FAMILY_INDEX}" in err
+    assert (code, out, err) == (
+        2, "", f"error: generator x{_MAX_INDEX + 1} is past the index limit {_MAX_INDEX}\n")
     path = poly_file(tmp_path, g(150) ** 40)
     code, out, err = run(capsys, "identity", "--family", "lucas", "--input", path)
     assert (code, out) == (2, "")
@@ -294,15 +302,15 @@ def test_wide_packed_keys_exit_two(tmp_path, capsys, cmd):
 
 
 def test_derivation_index_limit(tmp_path, capsys):
-    path = poly_file(tmp_path, g(100000))
+    path = gen_file(tmp_path, "x100000")
     code, out, err = run(capsys, "kernel-check", "--family", "fib", "--input", path)
     assert (code, out) == (2, "")
-    assert err == f"error: generator x100000 is past the derivation index limit {_MAX_FAMILY_INDEX}\n"
-    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX + 1))
+    assert err == f"error: generator x100000 is past the index limit {_MAX_INDEX}\n"
+    path = gen_file(tmp_path, f"x{_MAX_INDEX + 1}")
     code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path)
     assert (code, out) == (2, "")
-    assert f"derivation index limit {_MAX_FAMILY_INDEX}" in err
-    path = poly_file(tmp_path, g(_MAX_FAMILY_INDEX))
+    assert err == f"error: generator x{_MAX_INDEX + 1} is past the index limit {_MAX_INDEX}\n"
+    path = poly_file(tmp_path, g(_MAX_INDEX))
     code, out, _ = run(capsys, "kernel-check", "--family", "fib", "--input", path)
     assert (code, json.loads(out)) == (1, {"in_kernel": False})
 
@@ -435,26 +443,17 @@ def test_traced_benchmark_launcher_runs(tmp_path):
 
 
 def test_huge_generator_index_is_shown_bounded(tmp_path, capsys):
-    # an index past the int-to-str digit limit is refused by the reader with
-    # an error of our own; a long one below it is quoted to 40 characters
-    limit = sys.get_int_max_str_digits()
-    for digits, cmd, err_want in (
-        (5000, "identity",
-         f"generator {'x' + '1' * 39!r}... (5001 characters) has an index of more than "
-         f"{limit} digits"),
-        (4000, "identity",
-         f"generator x{'1' * 39}... (4001 characters) is past the family index limit "
-         f"{_MAX_FAMILY_INDEX}"),
-        (4000, "kernel-check",
-         f"generator x{'1' * 39}... (4001 characters) is past the derivation index limit "
-         f"{_MAX_FAMILY_INDEX}"),
-    ):
-        name = "x" + "1" * digits
-        path = tmp_path / "huge.json"
-        doc = {"vars": [name], "terms": [{"coeff": "1", "exps": {name: 1}}]}
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(capsys, cmd, "--family", "lucas", "--input", str(path))
-        assert (code, out, err) == (2, "", f"error: {err_want}\n"), (digits, cmd)
+    # every command refuses a generator past the index limit with one message,
+    # even derive --power 0, which applies nothing; a long name, past the
+    # int-to-str digit limit or not, is quoted to 40 characters
+    for name in (f"x{_MAX_INDEX + 1}", "x" + "1" * 4000, "x" + "1" * 5000):
+        shown = name if len(name) <= 40 else f"{name[:40]}... ({len(name)} characters)"
+        for cmd in (["derive", "--power", "0"], ["derive"], ["kernel-check"], ["identity"]):
+            code, out, err = run(capsys, *cmd, "--family", "lucas",
+                                 "--input", gen_file(tmp_path, name))
+            assert (code, out, err) == (
+                2, "", f"error: generator {shown} is past the index limit {_MAX_INDEX}\n"
+            ), (len(name), cmd)
 
 
 def test_roundtrip_chain_output_is_indented_json(tmp_path):

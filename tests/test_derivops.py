@@ -12,13 +12,19 @@ from conftest import random_fraction, random_poly
 from fiblucas import derivops
 from fiblucas.derivops import Derivation, builtin_image, kernel_member
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
-from fiblucas.families import _MAX_FAMILY_INDEX, APPELL, FIBONACCI, LUCAS, family_poly
+from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
-from fiblucas.polyring import Poly, mono_from_exps, mul_into, var_name
+from fiblucas.polyring import _MAX_INDEX, Poly, mono_from_exps, mul_into, var_name
 
 
 def g(n):
     return Poly.gen(n)
+
+
+def trusted_gen(n):
+    """x_n through the trusted Poly.from_terms, which checks no index: the
+    one way a polynomial on a generator past the index limit can exist."""
+    return Poly.from_terms([(((n, 1),), 1)])
 
 
 # generator images for x_0..x_6, fibonacci and lucas columns
@@ -70,14 +76,15 @@ def test_integer_images_and_leibniz_pass_build_no_fraction():
 
 
 def test_image_index_limit_and_memo_bound():
+    past = f"generator x{_MAX_INDEX + 1} is past the index limit {_MAX_INDEX}$"
     for kind in (FIBONACCI, LUCAS, APPELL):
-        assert builtin_image(kind, _MAX_FAMILY_INDEX).generator_vars()
-        with pytest.raises(ValueError, match=f"derivation index limit {_MAX_FAMILY_INDEX}"):
-            builtin_image(kind, _MAX_FAMILY_INDEX + 1)
-        with pytest.raises(ValueError, match="derivation index limit"):
-            Derivation(kind)(g(_MAX_FAMILY_INDEX + 1))
+        assert builtin_image(kind, _MAX_INDEX).generator_vars()
+        with pytest.raises(ValueError, match=past):
+            builtin_image(kind, _MAX_INDEX + 1)
+        with pytest.raises(ValueError, match=past):
+            Derivation(kind)(trusted_gen(_MAX_INDEX + 1))
     # bounded, and one derivation's images up to the limit fit in the memo
-    assert _MAX_FAMILY_INDEX < builtin_image.cache_info().maxsize <= 1024
+    assert _MAX_INDEX < builtin_image.cache_info().maxsize <= 1024
 
 
 def test_appell_images():
@@ -407,15 +414,15 @@ def test_packed_pass_matches_references_builtin(kind):
 
 
 def _sparse_custom():
-    # keys 10**30 and 10**100 beside small ones; zero, constant and rational images
-    k30, k100 = 10 ** 30, 10 ** 100
+    # keys 300 and the index limit beside small ones; zero, constant and rational images
+    k300, top = 300, _MAX_INDEX
     return Derivation.custom({
         0: Poly.zero(),
         2: Poly.constant(Fraction(5, 3)),
-        k30: Fraction(-7, 11) * g(0) ** 3 + Fraction(1, 4) * g(2),
-        k100: Fraction(2, 9) * g(k30) ** 2 * g(0) - g(7) + Fraction(13, 10 ** 20 + 1),
-        3: g(k100) * g(0) ** 5,
-    }), [0, 2, 3, k30, k100]
+        k300: Fraction(-7, 11) * g(0) ** 3 + Fraction(1, 4) * g(2),
+        top: Fraction(2, 9) * g(k300) ** 2 * g(0) - g(7) + Fraction(13, 10 ** 20 + 1),
+        3: g(top) * g(0) ** 5,
+    }), [0, 2, 3, k300, top]
 
 
 def test_packed_pass_matches_references_custom():
@@ -454,7 +461,7 @@ def test_packed_pass_matches_reference_hypothesis():
     st = hypothesis.strategies
     derivations = [Derivation(kind) for kind in (FIBONACCI, LUCAS, APPELL)]
     derivations.append(_sparse_custom()[0])
-    gens = st.sampled_from([0, 1, 2, 3, 7, 12, 10 ** 30, 10 ** 100])
+    gens = st.sampled_from([0, 1, 2, 3, 7, 12, 300, _MAX_INDEX])
     monos = st.dictionaries(gens, st.integers(1, 70), max_size=4)
     coeffs = st.fractions(max_denominator=10 ** 12).filter(bool)
     polys = st.lists(st.tuples(monos, coeffs), max_size=8)
@@ -479,24 +486,33 @@ def test_packed_pass_matches_reference_hypothesis():
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
 def test_index_limit_checked_before_any_shift(kind, monkeypatch):
-    def no_rank(*args):
-        raise AssertionError("a generator was ranked for a shift before every index was checked")
+    # a polynomial on a generator past the limit cannot be named; built by the
+    # trusted constructor it is still refused, by the image lookup, before any key
+    def no_key(*args):
+        raise AssertionError("a key was built before every index was checked")
 
     d = Derivation(kind)
-    monkeypatch.setattr(derivops, "bisect_left", no_rank)
-    for v in (_MAX_FAMILY_INDEX + 1, 10 ** 3999 + 7):
-        for p in (g(v), g(1) * g(2) ** 3 + g(v) ** 2 * g(3)):
+    monkeypatch.setattr(derivops, "_pack", no_key)
+    for v, shown in ((_MAX_INDEX + 1, f"x{_MAX_INDEX + 1}"),
+                     (10 ** 3999 + 7, "x<13285-bit index>")):
+        for p in (trusted_gen(v), g(1) * g(2) ** 3 + trusted_gen(v) ** 2 * g(3)):
             t0 = perf_counter()
-            with pytest.raises(ValueError, match=f"derivation index limit {_MAX_FAMILY_INDEX}"):
+            with pytest.raises(ValueError, match=f"^generator {shown} is past the index limit "
+                                                 f"{_MAX_INDEX}$"):
                 d(p)
             assert perf_counter() - t0 < 1.0
     monkeypatch.undo()
-    p = g(1) * g(2) ** 3 + g(_MAX_FAMILY_INDEX) ** 2
+    p = g(1) * g(2) ** 3 + g(_MAX_INDEX) ** 2
     assert d(p) == call_reference(d, p)
 
 
 def test_custom_key_far_past_the_index_limit():
-    k = 10 ** 100
+    # refused with the one index-limit message; a key at the limit is a table entry
+    for k, shown in ((_MAX_INDEX + 1, f"x{_MAX_INDEX + 1}"), (10 ** 100, "x<333-bit index>")):
+        with pytest.raises(ValueError, match=f"^generator {shown} is past the index limit "
+                                             f"{_MAX_INDEX}$"):
+            Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
+    k = _MAX_INDEX
     d = Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
     assert d(g(k) ** 3 * g(0)) == g(k) ** 2 * g(0) ** 3
     assert d(g(k) ** 300) == 100 * g(k) ** 299 * g(0) ** 2
@@ -514,7 +530,7 @@ def test_field_width_is_never_a_multiple_of_61():
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
 def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
-    def no_rank(*args):
+    def no_key(*args):
         raise AssertionError("a key was built before the key size was checked")
 
     d = Derivation(kind)
@@ -522,7 +538,7 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
     _check_packed(d, narrow)
     table = d._packed
     wide = 10 ** 400
-    monkeypatch.setattr(derivops, "bisect_left", no_rank)
+    monkeypatch.setattr(derivops, "_pack", no_key)
     for p, fields, bits in (
         (g(999) ** wide * g(1000) ** wide, 1001, 1330),
         (sum((g(i) * g(1000) ** 2 ** 60 for i in range(40)), Poly.zero()), 1001, 62),

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from math import comb, factorial
+from time import perf_counter
 
 import pytest
 
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import (
     _MAX_CAYLEY_N,
+    _NILPOTENCY_CAP,
     LocalizedPoly,
     Slice,
     cayley_closed,
@@ -60,6 +62,25 @@ def test_sigma_numerator_lies_in_kernel():
     ]:
         for n in range(11):
             assert kernel_member(d, dixmier_sigma(d, s, n).numerator), n
+
+
+@pytest.mark.parametrize("n", [_NILPOTENCY_CAP, 1000])
+def test_sigma_builtin_powers_run_past_the_custom_cap(n):
+    # a built-in image lowers every index, so D^(n+1)(x_n) = 0 ends the powers
+    # however large n is; D_A^n(x_n) = n! x_0, so sigma(x_n) is over x_0^(n-1)
+    d = Derivation.appell()
+    t0 = perf_counter()
+    sig = dixmier_sigma(d, lucas_slice(), n)
+    assert kernel_member(d, sig.numerator)
+    assert perf_counter() - t0 < 1.0
+    assert (sig.denom_var, sig.denom_power) == (0, n - 1)
+
+
+def test_sigma_custom_table_keeps_the_nilpotency_cap():
+    # D(x_2) = x_1 + x_2 is not locally nilpotent: no power of D kills x_2
+    d = Derivation.custom({0: Poly.zero(), 1: g(0), 2: g(1) + g(2)})
+    with pytest.raises(ValueError, match="does not look locally nilpotent on x2"):
+        dixmier_sigma(d, lucas_slice(), 2)
 
 
 def test_sigma_rejects_invalid_slices():

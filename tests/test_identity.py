@@ -8,10 +8,11 @@ import pytest
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
-from fiblucas.families import _MAX_FAMILY_INDEX, family_poly, family_values
+from fiblucas.families import family_poly, family_values
 from fiblucas.identity import (
     _MAX_SUBST_DEGREE,
     IdentityReport,
+    _expected_constant,
     _subst_bounds,
     _unpack,
     conjecture_scan,
@@ -22,7 +23,7 @@ from fiblucas.identity import (
     verify_identity,
 )
 from fiblucas.intertwine import AL, psi
-from fiblucas.polyring import Poly, X
+from fiblucas.polyring import _MAX_INDEX, Poly, X
 
 
 def g(n):
@@ -210,7 +211,7 @@ def test_family_values_match_packed_family_polynomials(family):
     # P_v(2^b) from the integer recurrence is the packed family polynomial,
     # carries between digits included; b = 0 gives P_v(1) = ||P_v||_1
     rng = random.Random(f"values-{family}")
-    indices = [0, 1, 2, 3, 63, 64, 65, _MAX_FAMILY_INDEX] + rng.sample(range(4, 1000), 12)
+    indices = [0, 1, 2, 3, 63, 64, 65, _MAX_INDEX] + rng.sample(range(4, 1000), 12)
     for b in (0, 1, 2, 7, 64, rng.randint(65, 3000)):
         values = family_values(family, b, indices)
         assert values == {n: plain_pack(family_poly(family, n), b) for n in indices}, (family, b)
@@ -221,12 +222,12 @@ def test_family_values_match_packed_family_polynomials(family):
 
 
 def test_family_values_refuses_indices_out_of_range():
-    with pytest.raises(ValueError, match=f"family index {_MAX_FAMILY_INDEX + 1} is past the "
-                                         f"family index limit {_MAX_FAMILY_INDEX}"):
-        family_values("fibonacci", 8, [3, _MAX_FAMILY_INDEX + 1])
-    with pytest.raises(ValueError, match="family index must be >= 0"):
+    with pytest.raises(ValueError, match=f"^generator x{_MAX_INDEX + 1} is past the "
+                                         f"index limit {_MAX_INDEX}$"):
+        family_values("fibonacci", 8, [3, _MAX_INDEX + 1])
+    with pytest.raises(ValueError, match="generator index must be >= 0"):
         family_values("lucas", 0, [-1, 5])
-    assert family_values("lucas", 0, [_MAX_FAMILY_INDEX])
+    assert family_values("lucas", 0, [_MAX_INDEX])
 
 
 @pytest.mark.parametrize("family", ["fibonacci", "lucas"])
@@ -238,8 +239,11 @@ def test_phi_builds_no_family_polynomial(family):
 
 
 def test_phi_and_scan_size_limits():
-    with pytest.raises(ValueError, match="family index limit"):
-        phi_subst("fibonacci", g(_MAX_FAMILY_INDEX + 1))
+    # a generator past the index limit is refused where it is named, so never
+    # reaches the substitution
+    doc = {"terms": [{"coeff": "1", "exps": {f"x{_MAX_INDEX + 1}": 1}}]}
+    with pytest.raises(ValueError, match=f"^generator x{_MAX_INDEX + 1} is past the index limit"):
+        phi_subst("fibonacci", Poly.from_json(doc))
     with pytest.raises(ValueError, match="limited to n <= "):
         conjecture_scan("lucas", _MAX_CAYLEY_N + 1)
 
@@ -257,7 +261,7 @@ def test_phi_substituted_degree_limit(family):
     c = cayley_closed(family, _MAX_CAYLEY_N)
     assert subst_degree(family, c) <= top
     assert phi_subst(family, c).is_constant()
-    assert subst_degree(family, g(_MAX_FAMILY_INDEX)) <= top
+    assert subst_degree(family, g(_MAX_INDEX)) <= top
     assert phi_subst(family, Poly.term(1, {X: top})).degree() == top
     for p in (Poly.term(1, {X: top + 1}), g(150) ** 40, g(3) * g(1000)):
         with pytest.raises(ValueError, match=f"degree limit {top}"):
@@ -355,6 +359,21 @@ def test_conjecture_scan_lucas_boundary_row():
     assert first["boundary"] is True
     assert first["constant"] == "1"
     assert first["ok"] is None  # informational, not scored
+
+
+def _parity_rule(family, n):
+    """The scan's expected constant as first written: F_n(0) is 1 for odd n and
+    0 for even n; L_n(0) is 2 for even n and 0 for odd n."""
+    if family == "fibonacci":
+        return Fraction(1 if n % 2 == 1 else 0)
+    return Fraction(2 if n % 2 == 0 else 0)
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_expected_constant_is_p_n_at_zero(family):
+    for n in range(2 if family == "lucas" else 3, _MAX_CAYLEY_N + 1):
+        want = _parity_rule(family, n)
+        assert _expected_constant(family, n) == want == family_poly(family, n).constant_value()
 
 
 def test_conjecture_scan_range_validation():

@@ -5,13 +5,16 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from time import perf_counter
 from typing import Mapping
 
 import pytest
 
 from conftest import random_fraction, random_poly, random_terms, random_x_poly
-from fiblucas.derivops import Derivation
+from fiblucas.derivops import Derivation, builtin_image
+from fiblucas.families import FIBONACCI, LUCAS, family_poly, family_values
 from fiblucas.polyring import (
+    _MAX_INDEX,
     Poly,
     X,
     _mono_sort_key,
@@ -683,7 +686,7 @@ def test_json_text_matches_json_dumps_hypothesis():
 
 
 def _random_mono(rng):
-    gens = [rng.randint(0, 12) if rng.random() < 0.9 else rng.randint(13, 10 ** 40)
+    gens = [rng.randint(0, 12) if rng.random() < 0.9 else rng.randint(13, _MAX_INDEX)
             for _ in range(rng.randint(0, 8))]
     exps = {v: rng.randint(1, 5) for v in gens}
     if rng.random() < 0.3:
@@ -711,27 +714,54 @@ def _decimal(v):
 
 
 def test_huge_generator_index_rejected_with_its_name_clipped():
-    # an index no name can spell is refused up front, with the error the
-    # reader gives for that name; the largest spellable index is accepted
+    # a name past the index limit is refused on its length, before int() reads
+    # it, and quoted to 40 characters; an int index is named the same while
+    # its name fits in 40 characters, and by its bit length past that
     limit = sys.get_int_max_str_digits()
-    huge = 10 ** (limit + 100)
-    for build in (lambda: Poly.gen(huge), lambda: Poly.term(1, {huge: 1}),
-                  lambda: mono_from_exps({0: 1, huge: 0})):
-        with pytest.raises(ValueError) as err:
-            build()
-        assert str(err.value) == (
-            f"generator {'x1' + '0' * 38!r}... ({limit + 102} characters) has an index of "
-            f"more than {limit} digits")
-    for v in (10 ** limit - 1, 10 ** limit, 10 ** (limit + 1) - 1, 2 ** 20000, huge):
+    assert _parse_var(f"x{_MAX_INDEX}") == _MAX_INDEX
+    for v in (_MAX_INDEX + 1, 9999, 10 ** 4, 10 ** 39 - 1, 10 ** 39, 10 ** limit - 1,
+              10 ** limit, 2 ** 20000, 10 ** (limit + 100)):
         name = "x" + _decimal(v)
-        if len(name) - 1 <= limit:
-            assert _parse_var(name) == v and Poly.gen(v).variables() == {v}
-            continue
         with pytest.raises(ValueError) as named:
             _parse_var(name)
         with pytest.raises(ValueError) as err:
             Poly.gen(v)
-        assert str(err.value) == str(named.value)
+        past = f" is past the index limit {_MAX_INDEX}"
+        if len(name) <= 40:
+            assert str(named.value) == str(err.value) == f"generator {name}{past}"
+        else:
+            assert str(named.value) == f"generator {name[:40]}... ({len(name)} characters){past}"
+            assert str(err.value) == f"generator x<{v.bit_length()}-bit index>{past}"
+
+
+# every place a generator index enters the package, as a name or an int
+_INDEX_ENTRY_POINTS = {
+    "_parse_var": lambda v: _parse_var("x" + _decimal(v)),
+    "Poly.gen": Poly.gen,
+    "mono_from_exps": lambda v: mono_from_exps({0: 1, v: 2}),
+    "Poly.term": lambda v: Poly.term(3, {v: 1, X: 2}),
+    "Derivation.custom": lambda v: Derivation.custom({0: Poly.zero(), v: g(0) ** 2}),
+    "builtin_image": lambda v: builtin_image(LUCAS, v),
+    "family_poly": lambda v: family_poly(FIBONACCI, v),
+    "family_values": lambda v: family_values(LUCAS, 5, [2, v]),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INDEX_ENTRY_POINTS))
+def test_index_limit_refused_at_every_entry_point(entry):
+    build = _INDEX_ENTRY_POINTS[entry]
+    build(_MAX_INDEX)
+    for v in (_MAX_INDEX + 1, 10 ** 3999 + 7, 10 ** (sys.get_int_max_str_digits() + 100)):
+        name = "x" + _decimal(v)
+        if entry == "_parse_var" and len(name) > 40:
+            name = f"{name[:40]}... ({len(name)} characters)"
+        elif len(name) > 40:
+            name = f"x<{v.bit_length()}-bit index>"
+        t0 = perf_counter()
+        with pytest.raises(ValueError) as err:
+            build(v)
+        assert perf_counter() - t0 < 1.0, v.bit_length()
+        assert str(err.value) == f"generator {name} is past the index limit {_MAX_INDEX}"
 
 
 def _reference_substitute(self, images):

@@ -1,9 +1,11 @@
 """The public surface: each name has one module that exports it, and the
 package root exports nothing but its version."""
 
+import ast
 import importlib
 import pkgutil
 from collections import Counter
+from pathlib import Path
 from types import ModuleType
 
 import fiblucas
@@ -35,3 +37,15 @@ def test_package_root_exports_only_its_version():
               if not n.startswith("_") and not isinstance(v, ModuleType)]
     assert public == []
     assert fiblucas.__version__ == "0.1.0"
+
+
+def test_each_limit_is_assigned_in_exactly_one_module():
+    # a _MAX_* limit has one home, assigned once; other modules import it
+    homes = {}
+    for path in sorted(Path(fiblucas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.startswith("_MAX_"):
+                    homes.setdefault(node.id, []).append(path.stem)
+    assert homes["_MAX_INDEX"] == ["polyring"]
+    assert {name: mods for name, mods in homes.items() if len(mods) != 1} == {}
