@@ -20,10 +20,12 @@ error: the generator ring and the x ring are never mixed silently.
 
 Derivations run over packed monomial keys: x_v's exponent sits in a
 ``bits``-wide field at ``bits * v``, so the monomial of a Leibniz pair is
-one int addition.  ``bits`` covers every exponent of the input and the
-result, so no field carries, and is never a multiple of 61.
-Each instance keeps one packed image table, repacked only when a call
-needs wider fields; keys past _MAX_KEY_SIZE are refused before one is built.
+one int addition.  Images are linear, so ``bits`` covers the input's
+degree and with it every exponent of the input and the result: no field
+carries.  It is never a multiple of 61.  Each instance keeps one packed
+table (bits, keys, images), read once per call; a call that needs wider
+fields fills new dicts and replaces it whole, so no call mixes two widths.
+Keys past _MAX_KEY_SIZE are refused before one is built.
 
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
@@ -31,20 +33,16 @@ to the Cayley elements built from them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
-from math import lcm
 
 from .families import APPELL, FIBONACCI, LUCAS, derivative_terms
-from .polyring import X, Poly, _check_index, var_name
+from .polyring import X, Poly, _check_index
 
 __all__ = [
     "Derivation",
     "builtin_image",
     "kernel_member",
 ]
-
-CUSTOM = "custom"
 
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
@@ -81,42 +79,17 @@ def _pack(monos, bits: int) -> dict:
 
 
 class Derivation:
-    """A derivation given by kind or an explicit generator-image table.
+    """One of the three built-in derivations, by kind.  Instances are immutable
+    apart from their packed table; images are memoized process-wide."""
 
-    Custom tables are not checked for nilpotency (deciding that in
-    general is out of scope); operations that need termination check it
-    empirically.  Instances are immutable apart from their table of
-    packed images; built-in images are memoized process-wide.
-    """
+    __slots__ = ("kind", "_table")
 
-    __slots__ = ("kind", "_images", "_den", "_high", "_top", "_bits", "_keys", "_packed")
-
-    def __init__(
-        self, kind: str, images: Mapping[int, Poly] | None = None
-    ) -> None:
-        # _high: the highest generator of a custom table, or -1; _top: max image degree - 1, or 0
-        if kind in _BUILTINS:
-            if images is not None:
-                raise ValueError("built-in derivations take no image table")
-            self._images, self._high, self._top = None, -1, 0
-        elif kind == CUSTOM:
-            if images is None:
-                raise ValueError("custom derivation needs an image table")
-            for n, img in images.items():
-                if img.contains_x:
-                    raise ValueError(
-                        f"image of x{n} may not contain the indeterminate x"
-                    )
-            self._images = dict(images)
-            gens = set(images).union(*map(Poly.variables, images.values()))
-            self._high = max(map(_check_index, gens), default=-1)
-            self._top = max([1, *map(Poly.degree, images.values())]) - 1
-        else:
+    def __init__(self, kind: str) -> None:
+        if kind not in _BUILTINS:
             raise ValueError(f"unknown derivation kind: {kind!r}")
         self.kind = kind
-        # the lcm of the image denominators; built-in images are integral
-        self._den = lcm(*(img.numerators()[1] for img in (self._images or {}).values()))
-        self._bits = -1  # the field width; the first call sets it, _keys and _packed
+        # (bits, monomial -> key, v -> (unit key of x_v, image keys, coefficients))
+        self._table = (0, {}, {})
 
     @classmethod
     def fibonacci(cls) -> "Derivation":
@@ -130,71 +103,53 @@ class Derivation:
     def appell(cls) -> "Derivation":
         return cls(APPELL)
 
-    @classmethod
-    def custom(cls, images: Mapping[int, Poly]) -> "Derivation":
-        return cls(CUSTOM, images)
-
     def __repr__(self) -> str:
         return f"Derivation({self.kind!r})"
 
     def image(self, n: int) -> Poly:
-        if self._images is None:
-            return builtin_image(self.kind, n)
-        try:
-            return self._images[n]
-        except KeyError:
-            raise ValueError(
-                f"derivation has no image for generator {var_name(n)}"
-            ) from None
+        return builtin_image(self.kind, n)
 
     def __call__(self, p: Poly) -> Poly:
         """Apply the Leibniz-linear extension to a generator polynomial.
 
         Each (term, image term) pair adds num * e * c at the packed key
         key(m) - unit(v) + key(image monomial) (see the module docstring);
-        the nonzero sums are unpacked once.  Images over d are read scaled
-        by den/d, den the lcm of the table's denominators (1 for the
-        built-ins), so the result is over den times p's.
+        the nonzero sums are unpacked once, over p's denominator.
         """
         if p.contains_x:
             raise ValueError(
                 "derivations act on generator polynomials; found x"
             )
-        nums, p_den = p.numerators()
-        bits = (p.degree() + self._top).bit_length()  # fields <= deg + _top
+        nums, den = p.numerators()
+        bits = p.degree().bit_length()
         # CPython hashes an int modulo 2^61 - 1, in which 2^61 = 1: at a width that
         # is a multiple of 61 every field weighs 1, and each key hashes to its degree
         bits += bits % 61 == 0
-        grow = bits > self._bits
-        bits, table = (bits, {}) if grow else (self._bits, self._packed)
+        table = self._table  # read once: another call may replace it meanwhile
+        grow = bits > table[0]
+        bits, keys, packed = (bits, {}, {}) if grow else table
         # every new generator's image is fetched, which checks its index, and the
         # key size is checked, before any key is built
-        fresh = [(v, self.image(v).numerators())
-                 for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in table]
-        if fresh:
-            # one field per generator up to the highest: a built-in image lowers
-            # the index, and a custom image may reach the table's highest
-            fields = max(self._high, *(v for v, _ in fresh)) + 1
-            if (size := fields * fields * bits) > _MAX_KEY_SIZE:
-                raise ValueError(
-                    f"packed monomial keys of {fields} fields of {bits} bits measure "
-                    f"fields^2 * bits = {size}, past the derivation key limit {_MAX_KEY_SIZE}"
-                )
-        if grow:
-            # _keys: monomial -> key; _packed: v -> (unit key of x_v, image keys, numerators)
-            self._bits, self._keys, self._packed = bits, {}, table
-        keys = self._keys
-        for v, (img, den) in fresh:  # one key int per monomial, shared by the images
+        fresh = [(v, self.image(v).numerators()[0])
+                 for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in packed]
+        # one field per generator up to the highest new one: an image lowers the index
+        fields = max((v for v, _ in fresh), default=-1) + 1
+        if (size := fields * fields * bits) > _MAX_KEY_SIZE:
+            raise ValueError(
+                f"packed monomial keys of {fields} fields of {bits} bits measure "
+                f"fields^2 * bits = {size}, past the derivation key limit {_MAX_KEY_SIZE}"
+            )
+        for v, img in fresh:  # one key int per monomial, shared by the images
             keys.update(_pack([m for m in (((v, 1),), *img) if m not in keys], bits))
-            scale = self._den // den  # 1 shares the image's own ints
-            coeffs = tuple(img.values() if scale == 1 else (c * scale for c in img.values()))
-            table[v] = keys[((v, 1),)], tuple(map(keys.__getitem__, img)), coeffs
+            packed[v] = keys[((v, 1),)], tuple(map(keys.__getitem__, img)), tuple(img.values())
+        if grow:
+            self._table = bits, keys, packed
         acc: dict[int, int] = {}
         get = acc.get
         for mono, num in nums.items():
-            key = sum(e * table[v][0] for v, e in mono)
+            key = sum(e * packed[v][0] for v, e in mono)
             for v, e in mono:
-                unit, img_keys, coeffs = table[v]
+                unit, img_keys, coeffs = packed[v]
                 base, f = key - unit, num * e
                 for k, c in zip(img_keys, coeffs):
                     k += base
@@ -208,7 +163,7 @@ class Derivation:
                     factors.append((shift // bits, k >> shift & mask))
                     k -= factors[-1][1] << shift
                 out[tuple(factors)] = c
-        return Poly._make(out, p_den * self._den)
+        return Poly._make(out, den)
 
     def power(self, p: Poly, k: int) -> Poly:
         """k-fold application; k = 0 returns p unchanged.  An application that

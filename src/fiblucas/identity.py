@@ -19,7 +19,9 @@ from .dixmier import _check_cayley_args, cayley_closed
 from .families import FIBONACCI, LUCAS, family_values
 from .families import family_poly  # noqa: F401  perfbench/launcher.py wraps it here by name
 from .intertwine import AL, psi
-from .polyring import _MAX_INDEX, Mono, Poly, X, det, divide_by_generator, json_text
+from .polyring import (
+    _MAX_INDEX, Mono, Poly, X, _check_index, det, divide_by_generator, json_text,
+)
 
 __all__ = [
     "IdentityReport",
@@ -101,6 +103,8 @@ def _subst_bounds(family: str, nums: dict[Mono, int]) -> tuple[set[int], int, in
         for v, e in m:
             gens.add(v)
             if v > shift:
+                if v > _MAX_INDEX:  # only the unchecked Poly.from_terms builds one
+                    _check_index(v)
                 degree += e * (v - shift)
                 log += e * bits[v]
             elif v == X:

@@ -200,16 +200,10 @@ def test_derive_rejects_the_indeterminate():
 
 
 def test_custom_derivation():
-    d = Derivation.custom({0: Poly.zero(), 1: g(0) ** 2})
-    assert d(g(1) * g(1)) == 2 * g(1) * g(0) ** 2
-    with pytest.raises(ValueError, match="x5"):
-        d(g(5))
-    with pytest.raises(ValueError, match="indeterminate"):
-        Derivation.custom({1: Poly.x()})
-    with pytest.raises(ValueError):
-        Derivation(FIBONACCI, images={0: Poly.zero()})
-    with pytest.raises(ValueError):
-        Derivation("custom")
+    # the three built-ins are the only kinds: an image table is no kind
+    for kind in ("custom", "Fibonacci", ""):
+        with pytest.raises(ValueError, match=f"^unknown derivation kind: {re.escape(repr(kind))}$"):
+            Derivation(kind)
 
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
@@ -319,19 +313,11 @@ def _assert_canonical(p):
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
-def _custom_derivation(rng, max_var):
-    # triangular, so power terminates; Fraction images with wide denominators
-    images = {0: Poly.zero()}
-    for n in range(1, max_var + 1):
-        images[n] = _wide_poly(rng, n - 1, max_terms=3)
-    return Derivation.custom(images)
-
-
-@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL, "custom"])
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
 def test_integer_leibniz_matches_fraction_reference(kind):
     rng = random.Random(f"leibniz-{kind}")
     max_var = 12
-    d = _custom_derivation(rng, max_var) if kind == "custom" else Derivation(kind)
+    d = Derivation(kind)
     fixed = [
         Poly.zero(),
         Poly.constant(_wide_fraction(rng)),
@@ -364,17 +350,16 @@ def call_reference(self, p):
             "derivations act on generator polynomials; found x"
         )
     nums, p_den = p.numerators()
-    images: dict[int, tuple] = {}  # v -> (image numerators, scale)
+    images: dict[int, object] = {}  # v -> image numerators; every image is integral
     acc = {}
     for mono, num in nums.items():
         for v, e in mono:
             img = images.get(v)
             if img is None:
-                img_nums, img_den = self.image(v).numerators()
-                img = images[v] = (img_nums.items(), self._den // img_den)
-            if img[0]:
-                mul_into(acc, ((mono_decrement(mono, v), num * e * img[1]),), img[0])
-    return Poly._make(acc, p_den * self._den)
+                img = images[v] = self.image(v).numerators()[0].items()
+            if img:
+                mul_into(acc, ((mono_decrement(mono, v), num * e),), img)
+    return Poly._make(acc, p_den)
 
 
 def _check_packed(d, p):
@@ -413,54 +398,74 @@ def test_packed_pass_matches_references_builtin(kind):
         _check_packed(d, p)
 
 
-def _sparse_custom():
-    # keys 300 and the index limit beside small ones; zero, constant and rational images
-    k300, top = 300, _MAX_INDEX
-    return Derivation.custom({
-        0: Poly.zero(),
-        2: Poly.constant(Fraction(5, 3)),
-        k300: Fraction(-7, 11) * g(0) ** 3 + Fraction(1, 4) * g(2),
-        top: Fraction(2, 9) * g(k300) ** 2 * g(0) - g(7) + Fraction(13, 10 ** 20 + 1),
-        3: g(top) * g(0) ** 5,
-    }), [0, 2, 3, k300, top]
+# sparse generator sets: gaps, the index limit, and x_0, whose image is zero
+_SPARSE_GENS = ([0, 2, 3, 300, _MAX_INDEX], [1, 7, 40, 999], [0, 1, 4])
 
 
 def test_packed_pass_matches_references_custom():
-    rng = random.Random("packed-custom")
-    tables = [_sparse_custom()]
-    zero_and_constant = {0: Poly.zero(), 1: Poly.zero(), 4: Poly.constant(-2)}
-    tables.append((Derivation.custom(zero_and_constant), [0, 1, 4]))
-    tables.append((_custom_derivation(rng, 6), list(range(7))))
-    for d, gens in tables:
-        cases = [Poly.zero(), Poly.constant(Fraction(11, 13))]
-        for e in _edge_exponents():
-            cases += [g(gens[-1]) ** e, g(gens[1]) ** (e - 1) * g(gens[-1]) + g(gens[-2]) ** e]
-        cases += [_poly_over(rng, gens, rng.choice([1, 4, 40])) for _ in range(60)]
-        for p in cases:
-            _check_packed(d, p)
-    # D(x_0^a x_1) = x_0^(a + 3) fills the widest field the width allows
-    d = Derivation.custom({0: Poly.zero(), 1: g(0) ** 3})
-    for a in _edge_exponents():
-        assert _check_packed(d, g(0) ** a * g(1)) == g(0) ** (a + 3)
+    # the built-ins on sparse generator sets, rational inputs, exponents at the width edges
+    rng = random.Random("packed-sparse")
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        d = Derivation(kind)
+        for gens in _SPARSE_GENS:
+            cases = [Poly.zero(), Poly.constant(Fraction(11, 13))]
+            for e in _edge_exponents():
+                cases += [g(gens[-1]) ** e, Fraction(-7, 11) * g(gens[1]) ** (e - 1) * g(gens[-1])
+                          + Fraction(2, 10 ** 20 + 1) * g(gens[-2]) ** e]
+            cases += [_poly_over(rng, gens, rng.choice([1, 4, 40])) for _ in range(30)]
+            for p in cases:
+                _check_packed(d, p)
+    # D(x_0^a x_1) = x_0^(a + 1) fills the widest field the width allows
+    for d in (Derivation.lucas(), Derivation.appell()):
+        for a in _edge_exponents():
+            assert _check_packed(d, g(0) ** a * g(1)) == g(0) ** (a + 1)
 
 
 def test_packed_table_is_reused_and_widened():
     # one instance on rising, then falling, then rising degree: the table
-    # is widened by repacking, a narrower input reads the wider table
-    for d, gens in ((Derivation.lucas(), list(range(9))), _sparse_custom()):
+    # is widened by replacing it, a narrower input reads the wider table
+    for d, gens in ((Derivation.lucas(), list(range(9))),
+                    (Derivation.fibonacci(), _SPARSE_GENS[0])):
         rng = random.Random(f"reuse-{d.kind}")
         degrees = [1, 2, 3, 8, 17, 64, 200, 64, 9, 2, 1, 0, 5, 300, 1]
         for top in degrees:
             p = _poly_over(rng, gens, max(top, 1)) + g(gens[-1]) ** top
+            table = d._table
             _check_packed(d, p)
-        assert set(d._packed) <= set(gens)
+            assert (d._table is table) == (p.degree().bit_length() <= table[0])
+            assert d._table[0] >= p.degree().bit_length()
+        assert set(d._table[2]) <= set(gens)
+
+
+def test_a_call_never_mixes_two_table_widths(monkeypatch):
+    # a call that widens the table while another call on the same instance is
+    # between reading it and filling it (here, inside that call's image lookup;
+    # threads sharing an instance can interleave the same way) leaves the other
+    # call on its own width and dicts
+    d = Derivation.lucas()
+    d(g(1) * g(2) ** 2)
+    real, nested = derivops.builtin_image, []
+    wide = g(2) * g(3) ** 300 + g(5) * g(4)
+
+    def image(kind, n):
+        if not nested:  # the first lookup only; the nested call's own go straight through
+            nested.append(None)
+            nested[0] = d(wide)
+        return real(kind, n)
+
+    monkeypatch.setattr(derivops, "builtin_image", image)
+    p = g(3) * g(4) + g(5)
+    got = d(p)
+    monkeypatch.undo()
+    assert nested == [Derivation.lucas()(wide)]
+    assert got == Derivation.lucas()(p) == call_reference(d, p)
+    assert d(wide) == nested[0]
 
 
 def test_packed_pass_matches_reference_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     derivations = [Derivation(kind) for kind in (FIBONACCI, LUCAS, APPELL)]
-    derivations.append(_sparse_custom()[0])
     gens = st.sampled_from([0, 1, 2, 3, 7, 12, 300, _MAX_INDEX])
     monos = st.dictionaries(gens, st.integers(1, 70), max_size=4)
     coeffs = st.fractions(max_denominator=10 ** 12).filter(bool)
@@ -506,18 +511,6 @@ def test_index_limit_checked_before_any_shift(kind, monkeypatch):
     assert d(p) == call_reference(d, p)
 
 
-def test_custom_key_far_past_the_index_limit():
-    # refused with the one index-limit message; a key at the limit is a table entry
-    for k, shown in ((_MAX_INDEX + 1, f"x{_MAX_INDEX + 1}"), (10 ** 100, "x<333-bit index>")):
-        with pytest.raises(ValueError, match=f"^generator {shown} is past the index limit "
-                                             f"{_MAX_INDEX}$"):
-            Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
-    k = _MAX_INDEX
-    d = Derivation.custom({0: Poly.zero(), k: Fraction(1, 3) * g(0) ** 2})
-    assert d(g(k) ** 3 * g(0)) == g(k) ** 2 * g(0) ** 3
-    assert d(g(k) ** 300) == 100 * g(k) ** 299 * g(0) ** 2
-
-
 def test_field_width_is_never_a_multiple_of_61():
     # CPython hashes an int modulo 2^61 - 1: at a width of 61, 122, ... every
     # key of a homogeneous result would hash to the same exponent sum
@@ -525,7 +518,7 @@ def test_field_width_is_never_a_multiple_of_61():
     for top in (2 ** 60, 2 ** 121, 2 ** 182):
         p = sum((g(i) * g(50) ** top for i in range(8)), Poly.zero())
         _check_packed(d, p)
-        assert d._bits == top.bit_length() + 1
+        assert d._table[0] == top.bit_length() + 1
 
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
@@ -536,7 +529,7 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
     d = Derivation(kind)
     narrow = g(1000) ** 2 * g(3) + g(7)
     _check_packed(d, narrow)
-    table = d._packed
+    table = d._table
     wide = 10 ** 400
     monkeypatch.setattr(derivops, "_pack", no_key)
     for p, fields, bits in (
@@ -553,7 +546,7 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
             d(p)
         assert perf_counter() - t0 < 1.0
     monkeypatch.undo()
-    assert d._packed is table  # a refused call leaves the table as it was
+    assert d._table is table  # a refused call leaves the table as it was
     _check_packed(d, narrow)
     # just inside the limit: 1001 fields of 16 bits, and 6 fields of 13288 bits
     for p in (g(1000) ** (2 ** 16 - 2) * g(2), g(5) ** 10 ** 4000):

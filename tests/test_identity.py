@@ -249,6 +249,24 @@ def test_phi_and_scan_size_limits():
 
 
 @pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_phi_refuses_a_trusted_polynomial_past_the_index_limit(family):
+    # Poly.from_terms checks no index, so a library caller can build x1001;
+    # the substitution refuses it with the one index-limit message
+    for v, shown in ((_MAX_INDEX + 1, f"x{_MAX_INDEX + 1}"),
+                     (10 ** 3999 + 7, "x<13285-bit index>")):
+        for p in (Poly.from_terms([(((v, 1),), 1)]),
+                  Poly.from_terms([(((2, 3),), 5), (((1, 1), (v, 2), (X, 1)), Fraction(-1, 3))])):
+            for run in (phi_subst, lambda family, p: verify_identity(p, family)):
+                t0 = perf_counter()
+                with pytest.raises(ValueError, match=f"^generator {shown} is past the index limit "
+                                                     f"{_MAX_INDEX}$"):
+                    run(family, p)
+                assert perf_counter() - t0 < 1.0
+    top = Poly.from_terms([(((_MAX_INDEX, 1),), 1)])
+    assert phi_subst(family, top) == family_poly(family, _MAX_INDEX)
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
 def test_phi_substituted_degree_limit(family):
     top = _MAX_SUBST_DEGREE
     # the bound is the exact degree of a single monomial's image

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_fraction, random_poly, random_terms, random_x_poly
 from fiblucas.derivops import Derivation, builtin_image
-from fiblucas.families import FIBONACCI, LUCAS, family_poly, family_values
+from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly, family_values
 from fiblucas.polyring import (
     _MAX_INDEX,
     Poly,
@@ -481,23 +481,28 @@ def test_equal_polys_built_two_ways_hash_equal():
             assert a == b and hash(a) == hash(b)
 
 
+def _ref_image(kind, n):
+    """D(x_n) as a Fraction dict, written out from the three image formulas."""
+    if kind == APPELL:
+        return {((n - 1, 1),): Fraction(n)} if n else {}
+    subs = range(n - 1, -1, -2)
+    coeffs = [(-1) ** k * (i if kind == FIBONACCI else n) for k, i in enumerate(subs)]
+    return {((i, 1),): Fraction(c) for i, c in zip(subs, coeffs) if c}
+
+
 def test_custom_derivation_with_rational_images_matches_oracle():
-    images = {
-        0: {},
-        1: {((0, 1),): Fraction(1, 3)},
-        2: {((1, 1),): Fraction(1, 2), ((0, 1),): Fraction(5, 7)},
-    }
-    d = Derivation.custom({
-        v: _from_terms([(dict(k), c) for k, c in img.items()]) for v, img in images.items()
-    })
+    # the built-in images against the Fraction-dict Leibniz rule, on rational inputs
     rng = random.Random(8082)
-    for _ in range(100):
-        terms = random_terms(rng, max_var=2)
-        p, P = _from_terms(terms), _ref(terms)
-        for _ in range(3):
-            p, P = d(p), _ref_derive(images, P)
-            _assert_primitive(p)
-            assert _as_ref(p) == P
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        d = Derivation(kind)
+        images = {v: _ref_image(kind, v) for v in range(7)}
+        for _ in range(100):
+            terms = random_terms(rng, max_var=6)
+            p, P = _from_terms(terms), _ref(terms)
+            for _ in range(3):
+                p, P = d(p), _ref_derive(images, P)
+                _assert_primitive(p)
+                assert _as_ref(p) == P
 
 
 # ---- the JSON reader and writer, and monomial order and product, against
@@ -740,7 +745,6 @@ _INDEX_ENTRY_POINTS = {
     "Poly.gen": Poly.gen,
     "mono_from_exps": lambda v: mono_from_exps({0: 1, v: 2}),
     "Poly.term": lambda v: Poly.term(3, {v: 1, X: 2}),
-    "Derivation.custom": lambda v: Derivation.custom({0: Poly.zero(), v: g(0) ** 2}),
     "builtin_image": lambda v: builtin_image(LUCAS, v),
     "family_poly": lambda v: family_poly(FIBONACCI, v),
     "family_values": lambda v: family_values(LUCAS, 5, [2, v]),
