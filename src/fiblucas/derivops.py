@@ -19,13 +19,18 @@ Applying a derivation to the distinguished indeterminate x is an
 error: the generator ring and the x ring are never mixed silently.
 
 Derivations run over packed monomial keys: x_v's exponent sits in a
-``bits``-wide field at ``bits * v``, so the monomial of a Leibniz pair is
-one int addition.  Images are linear, so ``bits`` covers the input's
-degree and with it every exponent of the input and the result: no field
-carries.  It is never a multiple of 61.  Each instance keeps one packed
-table (bits, keys, images), read once per call; a call that needs wider
-fields fills new dicts and replaces it whole, so no call mixes two widths.
-Keys past _MAX_KEY_SIZE are refused before one is built.
+``bits``-wide field at ``bits * v``, wide enough for the input's degree
+and so, as images are linear, for every exponent of the result; ``bits``
+is never a multiple of 61.  D(p) = sum_v dp/dx_v D(x_v) is applied by
+cofactor: each (term, generator) pair adds num * e at x_v to the linear
+form of m / x_v, keyed key(m) - key(x_v).  Each image is an alternating
+sum down one parity, so D of a form is a walk down each parity of u:
+
+    lucas:      G_u at x_{u-1},        G_u = u a_u - G_{u+2}
+    fibonacci:  (u-1) S_u at x_{u-1},  S_u = a_u - S_{u+2}
+    appell:     u a_u at x_{u-1}, one step: straight from the pair
+
+Every index, then the key size, is checked before any key is built.
 
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
@@ -46,21 +51,18 @@ __all__ = [
 
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
-# Size limit on one call of `power`: the (term, image term) pairs of all
-# its applications, summed and checked before each one runs.  At the
-# limit, on CPython 3.11 and a 2-vCPU x86-64 VM, applying D to terms of
-# D(x1000 x999^2) takes 1.1-1.3 s (3.3-4.0 s times x1000^4096: wider
-# keys); C_150, at 149 075 pairs, takes about 0.1 s.
+# Size limit on one call of `power`: the (term, image term) pairs of all its
+# applications, summed before each one runs; a call's walk steps never outnumber
+# its pairs.  At the limit, on CPython 3.11 and a 2-vCPU x86-64 VM, D on terms of
+# D(x1000 x999^2) takes 2.1-2.4 s (7.7-8.2 s times x1000^4096); C_150 0.04 s.
 _MAX_LEIBNIZ_PAIRS = 250_000
 
-# Size limit on the packed keys of one call, checked where the field width
-# or the table is set up: fields^2 * bits, fields the generators up to the
-# highest.  A built-in image of x_v has about v/2 terms, so this is about
-# twice the key bits one input term yields.  x1000 takes exponents below
-# 2^16.  In a slower run on the same kind of VM, D at the pair limit on
-# terms of D(x1000 x999^2) took 2.1 s and 170 MiB, times x1000^(2^15)
-# 6.3-6.9 s and 570 MiB; one call on the 40 terms x_i x1000^(2^60), at
-# 62 million, took 1.2 s and 183 MiB.
+# Size limit on the packed keys of one call, checked before any key is
+# built: fields^2 * bits, fields the generators up to the highest.  A walk
+# from x_v writes about v/2 keys, so this is about twice the key bits one
+# input term yields; x1000 takes exponents below 2^16.  D on the terms above of
+# D(x1000 x999^2) times x1000^(2^15) takes 9.0-9.5 s and 700 MiB; on the 40
+# terms x_i x1000^(2^60), at 62 million, 0.9-1.1 s and 185 MiB.
 _MAX_KEY_SIZE = 2**24
 
 
@@ -78,18 +80,42 @@ def _pack(monos, bits: int) -> dict:
     return {m: sum(e << bits * v for v, e in m) for m in monos}
 
 
+def _images(kind: str, nums: dict, keys: dict, units) -> dict:
+    """Packed key -> numerator of D(sum num * m) over nums, form by form (see the
+    module docstring); keys holds each monomial's key and units each generator's."""
+    acc: dict[int, int] = {}
+    forms: dict[tuple[int, int], dict[int, int]] = {}  # (cofactor key, parity of v) -> {v: a_v}
+    fib = kind == FIBONACCI
+    low = 2 if fib else 1  # the images of lower generators are 0
+    for mono, num in nums.items():
+        key = keys[mono]
+        for v, e in mono:
+            if v >= low and kind == APPELL:  # the walk on a one-term form is one step
+                k = key - units[v] + units[v - 1]
+                acc[k] = acc.get(k, 0) + v * num * e
+            elif v >= low:
+                forms.setdefault((key - units[v], v & 1), {})[v] = num * e
+    for (base, parity), form in forms.items():
+        c = 0  # -G_{u+2} (-S_{u+2}) on entering step u
+        for u in range(max(form), parity if fib else -parity, -2):  # to the last nonzero image
+            if u in form:
+                c += form[u] if fib else u * form[u]
+            k = base + units[u - 1]
+            acc[k] = acc.get(k, 0) + ((u - 1) * c if fib else c)
+            c = -c
+    return acc
+
+
 class Derivation:
     """One of the three built-in derivations, by kind.  Instances are immutable
-    apart from their packed table; images are memoized process-wide."""
+    and hold no other state; images are memoized process-wide."""
 
-    __slots__ = ("kind", "_table")
+    __slots__ = ("kind",)
 
     def __init__(self, kind: str) -> None:
         if kind not in _BUILTINS:
             raise ValueError(f"unknown derivation kind: {kind!r}")
         self.kind = kind
-        # (bits, monomial -> key, v -> (unit key of x_v, image keys, coefficients))
-        self._table = (0, {}, {})
 
     @classmethod
     def fibonacci(cls) -> "Derivation":
@@ -110,52 +136,26 @@ class Derivation:
         return builtin_image(self.kind, n)
 
     def __call__(self, p: Poly) -> Poly:
-        """Apply the Leibniz-linear extension to a generator polynomial.
-
-        Each (term, image term) pair adds num * e * c at the packed key
-        key(m) - unit(v) + key(image monomial) (see the module docstring);
-        the nonzero sums are unpacked once, over p's denominator.
-        """
+        """Apply the Leibniz-linear extension to a generator polynomial, form by form."""
         if p.contains_x:
-            raise ValueError(
-                "derivations act on generator polynomials; found x"
-            )
+            raise ValueError("derivations act on generator polynomials; found x")
         nums, den = p.numerators()
         bits = p.degree().bit_length()
         # CPython hashes an int modulo 2^61 - 1, in which 2^61 = 1: at a width that
         # is a multiple of 61 every field weighs 1, and each key hashes to its degree
         bits += bits % 61 == 0
-        table = self._table  # read once: another call may replace it meanwhile
-        grow = bits > table[0]
-        bits, keys, packed = (bits, {}, {}) if grow else table
-        # every new generator's image is fetched, which checks its index, and the
-        # key size is checked, before any key is built
-        fresh = [(v, self.image(v).numerators()[0])
-                 for v in dict.fromkeys(v for m in nums for v, _ in m) if v not in packed]
-        # one field per generator up to the highest new one: an image lowers the index
-        fields = max((v for v, _ in fresh), default=-1) + 1
+        # every index, then the key size, is checked before any key is built;
+        # one field per generator up to the highest: an image lowers the index
+        fields = max(map(_check_index, {v: 0 for m in nums for v, _ in m}), default=-1) + 1
         if (size := fields * fields * bits) > _MAX_KEY_SIZE:
             raise ValueError(
                 f"packed monomial keys of {fields} fields of {bits} bits measure "
                 f"fields^2 * bits = {size}, past the derivation key limit {_MAX_KEY_SIZE}"
             )
-        for v, img in fresh:  # one key int per monomial, shared by the images
-            keys.update(_pack([m for m in (((v, 1),), *img) if m not in keys], bits))
-            packed[v] = keys[((v, 1),)], tuple(map(keys.__getitem__, img)), tuple(img.values())
-        if grow:
-            self._table = bits, keys, packed
-        acc: dict[int, int] = {}
-        get = acc.get
-        for mono, num in nums.items():
-            key = sum(e * packed[v][0] for v, e in mono)
-            for v, e in mono:
-                unit, img_keys, coeffs = packed[v]
-                base, f = key - unit, num * e
-                for k, c in zip(img_keys, coeffs):
-                    k += base
-                    acc[k] = get(k, 0) + f * c
+        keys = _pack(nums, bits)
+        units = [1 << bits * v for v in range(fields)]
         mask, out = (1 << bits) - 1, {}
-        for k, c in acc.items():
+        for k, c in _images(self.kind, nums, keys, units).items():
             if c:
                 factors = []
                 while k:  # one step per factor: the field of the lowest set bit

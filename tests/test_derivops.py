@@ -422,42 +422,37 @@ def test_packed_pass_matches_references_custom():
 
 
 def test_packed_table_is_reused_and_widened():
-    # one instance on rising, then falling, then rising degree: the table
-    # is widened by replacing it, a narrower input reads the wider table
+    # one instance on rising, then falling, then rising degree: every call
+    # sizes its own fields, whatever the width of the call before it
     for d, gens in ((Derivation.lucas(), list(range(9))),
                     (Derivation.fibonacci(), _SPARSE_GENS[0])):
         rng = random.Random(f"reuse-{d.kind}")
         degrees = [1, 2, 3, 8, 17, 64, 200, 64, 9, 2, 1, 0, 5, 300, 1]
         for top in degrees:
             p = _poly_over(rng, gens, max(top, 1)) + g(gens[-1]) ** top
-            table = d._table
             _check_packed(d, p)
-            assert (d._table is table) == (p.degree().bit_length() <= table[0])
-            assert d._table[0] >= p.degree().bit_length()
-        assert set(d._table[2]) <= set(gens)
 
 
 def test_a_call_never_mixes_two_table_widths(monkeypatch):
-    # a call that widens the table while another call on the same instance is
-    # between reading it and filling it (here, inside that call's image lookup;
-    # threads sharing an instance can interleave the same way) leaves the other
-    # call on its own width and dicts
+    # a call on the same instance made while another one is between its index
+    # check and its keys (here, from that call's index check; threads sharing an
+    # instance can interleave the same way) changes neither result
     d = Derivation.lucas()
     d(g(1) * g(2) ** 2)
-    real, nested = derivops.builtin_image, []
+    real, nested = derivops._check_index, []
     wide = g(2) * g(3) ** 300 + g(5) * g(4)
 
-    def image(kind, n):
-        if not nested:  # the first lookup only; the nested call's own go straight through
+    def check_index(v):
+        if not nested:  # the first check only; the nested call's own go straight through
             nested.append(None)
             nested[0] = d(wide)
-        return real(kind, n)
+        return real(v)
 
-    monkeypatch.setattr(derivops, "builtin_image", image)
+    monkeypatch.setattr(derivops, "_check_index", check_index)
     p = g(3) * g(4) + g(5)
     got = d(p)
     monkeypatch.undo()
-    assert nested == [Derivation.lucas()(wide)]
+    assert nested == [Derivation.lucas()(wide)] == [call_reference(d, wide)]
     assert got == Derivation.lucas()(p) == call_reference(d, p)
     assert d(wide) == nested[0]
 
@@ -492,7 +487,7 @@ def test_packed_pass_matches_reference_hypothesis():
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
 def test_index_limit_checked_before_any_shift(kind, monkeypatch):
     # a polynomial on a generator past the limit cannot be named; built by the
-    # trusted constructor it is still refused, by the image lookup, before any key
+    # trusted constructor it is still refused, by the index check, before any key
     def no_key(*args):
         raise AssertionError("a key was built before every index was checked")
 
@@ -511,14 +506,21 @@ def test_index_limit_checked_before_any_shift(kind, monkeypatch):
     assert d(p) == call_reference(d, p)
 
 
-def test_field_width_is_never_a_multiple_of_61():
+def test_field_width_is_never_a_multiple_of_61(monkeypatch):
     # CPython hashes an int modulo 2^61 - 1: at a width of 61, 122, ... every
     # key of a homogeneous result would hash to the same exponent sum
-    d = Derivation.lucas()
+    d, real, widths = Derivation.lucas(), derivops._pack, []
+
+    def pack(monos, bits):
+        widths.append(bits)
+        return real(monos, bits)
+
+    monkeypatch.setattr(derivops, "_pack", pack)
     for top in (2 ** 60, 2 ** 121, 2 ** 182):
         p = sum((g(i) * g(50) ** top for i in range(8)), Poly.zero())
+        del widths[:]
         _check_packed(d, p)
-        assert d._table[0] == top.bit_length() + 1
+        assert widths == [top.bit_length() + 1]
 
 
 @pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
@@ -529,7 +531,6 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
     d = Derivation(kind)
     narrow = g(1000) ** 2 * g(3) + g(7)
     _check_packed(d, narrow)
-    table = d._table
     wide = 10 ** 400
     monkeypatch.setattr(derivops, "_pack", no_key)
     for p, fields, bits in (
@@ -546,8 +547,82 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
             d(p)
         assert perf_counter() - t0 < 1.0
     monkeypatch.undo()
-    assert d._table is table  # a refused call leaves the table as it was
-    _check_packed(d, narrow)
+    _check_packed(d, narrow)  # a refused call leaves the instance as it was
     # just inside the limit: 1001 fields of 16 bits, and 6 fields of 13288 bits
     for p in (g(1000) ** (2 ** 16 - 2) * g(2), g(5) ** 10 ** 4000):
         assert d(p) == call_reference(d, p)
+
+
+# ---- the grouped pass: one recurrence per cofactor's linear form ----------
+
+
+_LOW = {FIBONACCI: 2, LUCAS: 1, APPELL: 1}  # the lowest generator with a nonzero image
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
+def test_recurrence_reproduces_every_image(kind):
+    # the walk on the one-term form a x_v is a * D(x_v), as derivative_terms defines
+    # it: with x_i keyed i, the accumulator holds index -> coefficient
+    rng = random.Random(f"walk-{kind}")
+    for v in range(_MAX_INDEX + 1):
+        if v < _LOW[kind]:
+            assert builtin_image(kind, v).is_zero()
+            continue
+        a = rng.choice([1, -1, rng.randint(-10 ** 30, 10 ** 30) or 1])
+        acc = derivops._images(kind, {((v, 1),): a}, {((v, 1),): v}, range(_MAX_INDEX + 1))
+        nums, den = builtin_image(kind, v).numerators()
+        assert den == 1
+        assert {((i, 1),): c for i, c in acc.items() if c} == {m: a * c for m, c in nums.items()}, v
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS])
+def test_grouped_pass_matches_reference_on_cayley_elements(kind):
+    rng = random.Random(f"grouped-{kind}")
+    d = Derivation(kind)
+    for n in sorted(rng.sample(range(1, 150), 5)) + [150]:
+        q, r = _wide_fraction(rng), _wide_fraction(rng)
+        p = q * cayley_closed(kind, n) + r
+        got = d(p)
+        assert got == call_reference(d, p), n
+        _assert_canonical(got)
+        if n <= 40:  # a multiple that is no kernel element: longer forms per cofactor
+            p = p * (g(n) + Fraction(3, 7) * g(n - 1) * g(0))
+            assert d(p) == call_reference(d, p), n
+
+
+def test_grouped_pass_edge_groups():
+    t = Poly.term
+    cases = {
+        # one cofactor, x2^3 x9, with generators of both parities and exponents past 1
+        "both parities": t(1, {2: 3, 9: 1}) * (3 * g(7) - 5 * g(4) ** 2 + 2 * g(10) + g(1) + g(0))
+        + t(Fraction(-4, 9), {2: 3, 9: 2}),
+        # Lucas: G_7 = 35 and G_5 = 5 * 7 - 35 = 0, then restarted by x_3;
+        # Fibonacci: S_7 = 1 and S_5 = 1 - 1 = 0, then restarted by x_3
+        "lucas cancels": t(1, {12: 2}) * (5 * g(7) + 7 * g(5) + g(3)),
+        "fibonacci cancels": t(1, {12: 2}) * (g(7) + g(5) - 2 * g(3)) + g(9) + g(7),
+        # cofactors on x_0 and x_1, whose images are 0 (x_1's for Fibonacci only)
+        "zero images": g(0) ** 3 * g(1) ** 2 * g(5) + g(0) * g(1) + g(0) ** 4 + g(1) ** 7 * g(0),
+        # single-generator groups at the index limit
+        "x1000": g(_MAX_INDEX) * g(3) ** 2 + Fraction(5, 3) * g(_MAX_INDEX) ** 2 + g(_MAX_INDEX - 1),
+    }
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        d = Derivation(kind)
+        for name, p in cases.items():
+            assert _check_packed(d, p) == call_reference(d, p), (kind, name)
+    lucas, fib, appell = Derivation.lucas(), Derivation.fibonacci(), Derivation.appell()
+    assert lucas(5 * g(7) + 7 * g(5)) == 35 * g(6)
+    assert fib(g(7) + g(5)) == 6 * g(6)
+    assert lucas(g(0) ** 4) == fib(g(1) ** 7 * g(0)) == 0
+    assert appell(g(_MAX_INDEX) * g(3) ** 2) == _MAX_INDEX * g(_MAX_INDEX - 1) * g(3) ** 2 + 6 * g(_MAX_INDEX) * g(3) * g(2)
+
+
+def test_linear_form_at_the_index_limit_is_fast():
+    # one cofactor, 1, holds x0 + ... + x1000: one walk of 1000 steps, where the
+    # (term, image term) pairs number about 250 000
+    p = sum((g(v) for v in range(_MAX_INDEX + 1)), Poly.zero())
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        d = Derivation(kind)
+        t0 = perf_counter()
+        got = d(p)
+        assert perf_counter() - t0 < 1.0, kind
+        assert got == call_reference(d, p), kind
