@@ -28,9 +28,11 @@ sum down one parity, so D of a form is a walk down each parity of u:
 
     lucas:      G_u at x_{u-1},        G_u = u a_u - G_{u+2}
     fibonacci:  (u-1) S_u at x_{u-1},  S_u = a_u - S_{u+2}
-    appell:     u a_u at x_{u-1}, one step: straight from the pair
+    appell:     u a_u at x_{u-1}, one step per v in the form
 
-Every index, then the key size, is checked before any key is built.
+Every index, then the key size, is checked before any key is built; the
+walk steps (one per u walked, one per Appell pair) of the call, or of all
+of power's applications, once the forms are grouped, before any walk.
 
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
@@ -41,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .families import APPELL, FIBONACCI, LUCAS, derivative_terms
-from .polyring import X, Poly, _check_index
+from .polyring import Poly, _check_index
 
 __all__ = [
     "Derivation",
@@ -51,22 +53,23 @@ __all__ = [
 
 _BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
-# Size limit on one call of `power`: the (term, image term) pairs of all its
-# applications, summed before each one runs; a call's walk steps never outnumber
-# its pairs.  At the limit, on CPython 3.11 and a 2-vCPU x86-64 VM, D on terms of
-# D(x1000 x999^2) takes 2.1-2.4 s (7.7-8.2 s times x1000^4096); C_150 0.04 s.
-_MAX_LEIBNIZ_PAIRS = 250_000
+# Work limit on one call of `__call__`, or on all the applications of `power`,
+# in walk steps (see the module docstring).  At the limit, on CPython 3.11 and a
+# 2-vCPU x86-64 VM, Lucas or Fibonacci D on the 499 terms x_i x1000 (2002-bit
+# keys) takes 2.1-2.2 s and 140 MiB peak RSS; times x1000^(2^15) (16 016-bit
+# keys), 10.5-11.1 s and 580 MiB.
+_MAX_WALK_STEPS = 250_000
 
 # Size limit on the packed keys of one call, checked before any key is
 # built: fields^2 * bits, fields the generators up to the highest.  A walk
 # from x_v writes about v/2 keys, so this is about twice the key bits one
-# input term yields; x1000 takes exponents below 2^16.  D on the terms above of
-# D(x1000 x999^2) times x1000^(2^15) takes 9.0-9.5 s and 700 MiB; on the 40
-# terms x_i x1000^(2^60), at 62 million, 0.9-1.1 s and 185 MiB.
+# input term yields; x1000 takes exponents below 2^16, as in the 16 016-bit
+# keys above.  D on the 40 terms x_i x1000^(2^60), at 62 million, takes
+# 0.9-1.1 s and 185 MiB.
 _MAX_KEY_SIZE = 2**24
 
 
-# the memo holds every image up to the index limit, about 50 MB at 1000
+# only Derivation.image fills the memo: every image up to the index limit is about 50 MB
 @lru_cache(maxsize=1024)
 def builtin_image(kind: str, n: int) -> Poly:
     """Generator image D(x_n) for one of the built-in derivations."""
@@ -80,30 +83,45 @@ def _pack(monos, bits: int) -> dict:
     return {m: sum(e << bits * v for v, e in m) for m in monos}
 
 
-def _images(kind: str, nums: dict, keys: dict, units) -> dict:
-    """Packed key -> numerator of D(sum num * m) over nums, form by form (see the
-    module docstring); keys holds each monomial's key and units each generator's."""
-    acc: dict[int, int] = {}
+def _walk(kind: str, form: dict, us, base: int, units, acc: dict) -> None:
+    """Add D of the linear form sum a_v x_v (form) at the cofactor key base
+    into acc, over the indices us (see the module docstring)."""
+    fib, carry = kind == FIBONACCI, 0 if kind == APPELL else -1
+    c = 0  # -G_{u+2} (-S_{u+2}) on entering step u; Appell carries nothing
+    for u in us:
+        if u in form:
+            c += form[u] if fib else u * form[u]
+        k = base + units[u - 1]
+        acc[k] = acc.get(k, 0) + ((u - 1) * c if fib else c)
+        c *= carry
+
+
+def _images(kind: str, nums: dict, keys: dict, units, spent: int) -> tuple[dict, int]:
+    """(packed key -> numerator of D(sum num * m) over nums, spent plus this
+    call's walk steps), form by form; keys holds each monomial's key and units
+    each generator's.  Past _MAX_WALK_STEPS it raises before any walk runs."""
     forms: dict[tuple[int, int], dict[int, int]] = {}  # (cofactor key, parity of v) -> {v: a_v}
     fib = kind == FIBONACCI
     low = 2 if fib else 1  # the images of lower generators are 0
     for mono, num in nums.items():
         key = keys[mono]
         for v, e in mono:
-            if v >= low and kind == APPELL:  # the walk on a one-term form is one step
-                k = key - units[v] + units[v - 1]
-                acc[k] = acc.get(k, 0) + v * num * e
-            elif v >= low:
+            if v >= low:
                 forms.setdefault((key - units[v], v & 1), {})[v] = num * e
-    for (base, parity), form in forms.items():
-        c = 0  # -G_{u+2} (-S_{u+2}) on entering step u
-        for u in range(max(form), parity if fib else -parity, -2):  # to the last nonzero image
-            if u in form:
-                c += form[u] if fib else u * form[u]
-            k = base + units[u - 1]
-            acc[k] = acc.get(k, 0) + ((u - 1) * c if fib else c)
-            c = -c
-    return acc
+    # a walk runs down one parity to the last nonzero image; Appell's, one step per pair
+    walks = [
+        (form, form if kind == APPELL else range(max(form), parity if fib else -parity, -2), base)
+        for (base, parity), form in forms.items()
+    ]
+    if (total := spent + sum(len(us) for _, us, _ in walks)) > _MAX_WALK_STEPS:
+        raise ValueError(
+            f"the derivation would take {total} walk steps in this call, "
+            f"past the derivation step limit {_MAX_WALK_STEPS}"
+        )
+    acc: dict[int, int] = {}
+    for form, us, base in walks:
+        _walk(kind, form, us, base, units, acc)
+    return acc, total
 
 
 class Derivation:
@@ -137,6 +155,10 @@ class Derivation:
 
     def __call__(self, p: Poly) -> Poly:
         """Apply the Leibniz-linear extension to a generator polynomial, form by form."""
+        return self._apply(p, 0)[0]
+
+    def _apply(self, p: Poly, spent: int) -> tuple[Poly, int]:
+        """(D(p), spent plus the walk steps of D(p)); see _MAX_WALK_STEPS."""
         if p.contains_x:
             raise ValueError("derivations act on generator polynomials; found x")
         nums, den = p.numerators()
@@ -154,8 +176,9 @@ class Derivation:
             )
         keys = _pack(nums, bits)
         units = [1 << bits * v for v in range(fields)]
+        acc, total = _images(self.kind, nums, keys, units, spent)
         mask, out = (1 << bits) - 1, {}
-        for k, c in _images(self.kind, nums, keys, units).items():
+        for k, c in acc.items():
             if c:
                 factors = []
                 while k:  # one step per factor: the field of the lowest set bit
@@ -163,25 +186,19 @@ class Derivation:
                     factors.append((shift // bits, k >> shift & mask))
                     k -= factors[-1][1] << shift
                 out[tuple(factors)] = c
-        return Poly._make(out, den)
+        return Poly._make(out, den), total
 
     def power(self, p: Poly, k: int) -> Poly:
-        """k-fold application; k = 0 returns p unchanged.  An application that
-        would take this call's pairs past _MAX_LEIBNIZ_PAIRS raises ValueError first."""
+        """k-fold application; k = 0 returns p unchanged.  The application that
+        would take the walk steps of all of them past _MAX_WALK_STEPS raises
+        ValueError before it walks."""
         if k < 0:
             raise ValueError("power must be >= 0")
         out, total = p, 0
         for _ in range(k):
             if out.is_zero():
                 break
-            # x is skipped: __call__ rejects it with its own message
-            total += sum(len(self.image(v)) for m in out.numerators()[0] for v, _ in m if v != X)
-            if total > _MAX_LEIBNIZ_PAIRS:
-                raise ValueError(
-                    f"the next application would bring the (term, image term) pairs of "
-                    f"this power to {total}, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}"
-                )
-            out = self(out)
+            out, total = self._apply(out, total)
         return out
 
 

@@ -294,33 +294,16 @@ def _psi_from_rows(kind: str, n_max: int, rows) -> LinearSubstitution:
 
 
 def check_intertwining(
-    sub: LinearSubstitution,
-    from_d: Derivation,
-    to_d: Derivation,
-    n_max: int,
-    kind: str = "custom",
+    sub: LinearSubstitution, from_d: Derivation, to_d: Derivation, n_max: int, kind: str
 ) -> dict:
     """Compare sub(from_d(x_n)) against to_d(sub(x_n)) for n <= n_max.
 
     Returns a report dict; a mismatch is an outcome, not an error.
     """
+    report = dict(kind=kind, n_max=n_max, ok=True, first_mismatch=None, lhs=None, rhs=None)
     for n in range(n_max + 1):
         lhs = sub.apply(from_d.image(n))
         rhs = to_d(sub.image(n))
         if lhs != rhs:
-            return {
-                "kind": kind,
-                "n_max": n_max,
-                "ok": False,
-                "first_mismatch": n,
-                "lhs": lhs.to_json(),
-                "rhs": rhs.to_json(),
-            }
-    return {
-        "kind": kind,
-        "n_max": n_max,
-        "ok": True,
-        "first_mismatch": None,
-        "lhs": None,
-        "rhs": None,
-    }
+            return dict(report, ok=False, first_mismatch=n, lhs=lhs.to_json(), rhs=rhs.to_json())
+    return report

@@ -10,10 +10,10 @@ from time import perf_counter
 import pytest
 
 from fiblucas import cli
-from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_LEIBNIZ_PAIRS, Derivation
+from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_WALK_STEPS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
 from fiblucas.intertwine import _MAX_INTERTWINE_N
-from fiblucas.polyring import _MAX_INDEX, Poly, X
+from fiblucas.polyring import _MAX_INDEX, Poly, X, json_text
 
 
 def g(n):
@@ -356,49 +356,75 @@ def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):
 
 
 def counted_applications(monkeypatch):
-    """The term count of each Derivation application from here on."""
+    """The term count of each Derivation application that ran from here on."""
     applied = []
-    call = Derivation.__call__
+    apply = Derivation._apply
 
-    def counting(self, p):
+    def counting(self, p, spent):
+        out = apply(self, p, spent)
         applied.append(len(p))
-        return call(self, p)
+        return out
 
-    monkeypatch.setattr(Derivation, "__call__", counting)
+    monkeypatch.setattr(Derivation, "_apply", counting)
     return applied
 
 
 @pytest.mark.parametrize("family", ["fib", "lucas"])
 def test_derive_power_refused_past_the_pair_limit(tmp_path, capsys, monkeypatch, family):
-    # D^2 of x1000 x999^2 touches about 10^6 (term, image term) pairs and
-    # D^3 about 4*10^8: the second application is refused before it runs,
+    # D of x1000 x999^2 walks 999 (fib) or 1000 (lucas) steps and D of that
+    # 748 500 or 750 499: the second application is refused before it walks,
     # and the error names the total of the first two
     applied = counted_applications(monkeypatch)
     path = poly_file(tmp_path, g(1000) * g(999) ** 2)
     code, out, err = run(capsys, "derive", "--family", family, "--input", path, "--power", "3")
     assert (code, out) == (2, "")
     assert applied == [1]
-    pairs = 998001 if family == "fib" else 1000500
+    steps = 749499 if family == "fib" else 751499
     assert err == (
-        f"error: the next application would bring the (term, image term) pairs of "
-        f"this power to {pairs}, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
+        f"error: the derivation would take {steps} walk steps in this call, "
+        f"past the derivation step limit {_MAX_WALK_STEPS}\n"
     )
 
 
 def test_derive_power_bounds_many_small_applications(tmp_path, capsys, monkeypatch):
-    # no single Lucas application on x2^3000 comes near the pair limit (a
-    # term x0^a x1^b x2^c meets at most two image terms), but their
+    # no single Lucas application on x2^3000 comes near the step limit (a
+    # term x0^a x1^b x2^c takes at most two one-step walks), but their
     # running total passes it after 706 of the 3000
     applied = counted_applications(monkeypatch)
     path = poly_file(tmp_path, g(2) ** 3000)
     code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path, "--power", "3000")
     assert (code, out) == (2, "")
     assert len(applied) == 706
-    assert max(applied) * 2 < _MAX_LEIBNIZ_PAIRS // 100
+    assert max(applied) * 2 < _MAX_WALK_STEPS // 100
     assert err == (
-        "error: the next application would bring the (term, image term) pairs of "
-        f"this power to 250278, past the derivation pair limit {_MAX_LEIBNIZ_PAIRS}\n"
+        "error: the derivation would take 250278 walk steps in this call, "
+        f"past the derivation step limit {_MAX_WALK_STEPS}\n"
     )
+
+
+def test_kernel_check_refused_past_the_step_limit(tmp_path, capsys):
+    # D of the 1000 terms of D(x1000 x999^2) walks 750 499 steps: refused once
+    # the forms are grouped, before the walk builds any of its wide keys
+    path = poly_file(tmp_path, Derivation.lucas()(g(1000) * g(999) ** 2))
+    t0 = perf_counter()
+    code, out, err = run(capsys, "kernel-check", "--family", "lucas", "--input", path)
+    assert perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the derivation would take 750499 walk steps in this call, "
+        f"past the derivation step limit {_MAX_WALK_STEPS}\n"
+    )
+
+
+@pytest.mark.parametrize("family", ["fib", "lucas"])
+def test_derive_counts_walk_steps_not_image_terms(tmp_path, capsys, family):
+    # x0 + ... + x1000 is one form per parity, 1000 walk steps in all, though
+    # its (term, image term) pairs number about 250 000
+    p = sum((g(v) for v in range(_MAX_INDEX + 1)), Poly.zero())
+    code, out, err = run(capsys, "derive", "--family", family, "--input", poly_file(tmp_path, p))
+    assert (code, err) == (0, "")
+    expected = Derivation(cli._FAMILY[family])(p)
+    assert out == json_text(expected.to_json()) + "\n"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():

@@ -553,6 +553,38 @@ def test_key_size_limit_checked_before_any_key(kind, monkeypatch):
         assert d(p) == call_reference(d, p)
 
 
+def test_power_builds_no_image():
+    # power counts walk steps inside each application; no image Poly is made
+    builtin_image.cache_clear()
+    for kind in (FIBONACCI, LUCAS, APPELL):
+        Derivation(kind).power(g(40) * g(31) ** 2 + g(17), 3)
+    assert builtin_image.cache_info().currsize == 0
+
+
+def test_step_limit_checked_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a form was walked before the steps were checked")
+
+    # 25 000 Fibonacci forms x20 on distinct cofactors in x0 and x1 (images 0),
+    # each a walk of 10 steps: exactly the limit
+    limit = derivops._MAX_WALK_STEPS
+    cofactors = [
+        tuple((v, e) for v, e in ((0, i), (1, j)) if e) for i in range(125) for j in range(200)
+    ]
+    assert len(cofactors) * 10 == limit
+    p = Poly.from_terms((m + ((20, 1),), 1) for m in cofactors)
+    d = Derivation.fibonacci()
+    got, steps = d._apply(p, 0)
+    assert steps == limit
+    assert got == d(g(20)) * Poly.from_terms((m, 1) for m in cofactors)
+    # one step more: x2 on the new cofactor x0^200
+    monkeypatch.setattr(derivops, "_walk", no_walk)
+    over = f"take {limit + 1} walk steps in this call, past the derivation step limit {limit}$"
+    for call in (d, lambda q: d.power(q, 2)):
+        with pytest.raises(ValueError, match=over):
+            call(p + g(2) * g(0) ** 200)
+
+
 # ---- the grouped pass: one recurrence per cofactor's linear form ----------
 
 
@@ -569,7 +601,7 @@ def test_recurrence_reproduces_every_image(kind):
             assert builtin_image(kind, v).is_zero()
             continue
         a = rng.choice([1, -1, rng.randint(-10 ** 30, 10 ** 30) or 1])
-        acc = derivops._images(kind, {((v, 1),): a}, {((v, 1),): v}, range(_MAX_INDEX + 1))
+        acc, _ = derivops._images(kind, {((v, 1),): a}, {((v, 1),): v}, range(_MAX_INDEX + 1), 0)
         nums, den = builtin_image(kind, v).numerators()
         assert den == 1
         assert {((i, 1),): c for i, c in acc.items() if c} == {m: a * c for m, c in nums.items()}, v
