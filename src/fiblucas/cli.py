@@ -2,14 +2,15 @@
 
 Thin veneer: every subcommand maps to one library operation plus
 serialization.  Exit codes: 0 verified/success, 1 verification failure,
-2 usage or input error, 3 internal error (a crash, never reported as a
-failed verification).
+2 usage or input error or unwritable stdout, 3 internal error (a crash,
+never reported as a failed verification).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import families, identity, intertwine
@@ -42,8 +43,14 @@ def _read_poly(source: str) -> Poly:
     return Poly.from_json(doc)
 
 
-def _print_json(doc) -> None:
-    print(json_text(doc))
+def _print(text: str) -> None:
+    """Print text to stdout and flush it; an OSError doing so is an output error (exit 2)."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # so the flush at exit writes nowhere, not fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write output: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,39 +102,33 @@ def _cmd_derive(args) -> int:
     if args.power < 0:
         raise ValueError("--power must be >= 0")
     result = d.power(_read_poly(args.input), args.power)
-    _print_json(result.to_json())
+    _print(json_text(result))
     return 0
 
 
 def _cmd_cayley(args) -> int:
     if args.route != "both":
         build = cayley_closed if args.route == "closed" else cayley_constructive
-        _print_json(build(_FAMILY[args.family], args.n).to_json())
+        _print(json_text(build(_FAMILY[args.family], args.n)))
         return 0
     closed = cayley_closed(_FAMILY[args.family], args.n)
     constructive = cayley_constructive(_FAMILY[args.family], args.n)
     if closed == constructive:
-        _print_json(closed.to_json())
+        _print(json_text(closed))
         return 0
-    _print_json(
-        {
-            "error": "route mismatch",
-            "closed": closed.to_json(),
-            "constructive": constructive.to_json(),
-        }
-    )
+    _print(json_text({"error": "route mismatch", "closed": closed, "constructive": constructive}))
     return 1
 
 
 def _cmd_kernel_check(args) -> int:
     member = kernel_member(Derivation(_FAMILY[args.family]), _read_poly(args.input))
-    _print_json({"in_kernel": member})
+    _print(json_text({"in_kernel": member}))
     return 0 if member else 1
 
 
 def _cmd_identity(args) -> int:
     report = identity.verify_identity(_read_poly(args.input), _FAMILY[args.family])
-    print(identity.emit(report, args.format))
+    _print(identity.emit(report, args.format))
     return 0 if report.is_constant else 1
 
 
@@ -136,16 +137,16 @@ def _cmd_scan(args) -> int:
     for row in result["rows"]:
         constant = row["constant"] if row["is_constant"] else "non-constant"
         if row["boundary"]:
-            print(f"n={row['n']:<3d} constant={constant:<6s} boundary (not scored)")
+            _print(f"n={row['n']:<3d} constant={constant:<6s} boundary (not scored)")
         else:
             verdict = "ok" if row["ok"] else "VIOLATION"
-            print(
+            _print(
                 f"n={row['n']:<3d} constant={constant:<6s} "
                 f"expected={row['expected']:<3s} {verdict}"
             )
     scored_from = next(row["n"] for row in result["rows"] if not row["boundary"])
     verdict = "PASS" if result["ok"] else "FAIL"
-    print(f"conjecture ({result['family']}, n={scored_from}..{result['n_max']}): {verdict}")
+    _print(f"conjecture ({result['family']}, n={scored_from}..{result['n_max']}): {verdict}")
     return 0 if result["ok"] else 1
 
 
@@ -167,13 +168,13 @@ def _cmd_intertwine(args) -> int:
     report = intertwine.check_intertwining(sub, from_d, to_d, args.max, kind=args.kind)
     if args.route == "all":
         report["routes_agree"] = routes_agree
-    _print_json(report)
+    _print(json_text(report))
     return 0 if report["ok"] and routes_agree else 1
 
 
 def _cmd_demo(args) -> int:
     report = identity.discriminant_demo()
-    _print_json(report)
+    _print(json_text(report))
     return 0 if report["ok"] else 1
 
 

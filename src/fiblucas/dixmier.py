@@ -60,7 +60,7 @@ __all__ = [
 
 # Size limit, rejected up front rather than run for minutes.  C_n has
 # about n^2/4 terms.  At the limit, on CPython 3.11 and a 2-vCPU x86-64
-# VM, `cayley --route both` takes about 0.4 s and `scan` about 3.5 s.
+# VM, `cayley --route both` takes about 0.2 s and `scan` 2 to 3 s.
 # C_n uses generators up to x_n, so every Cayley element stays within
 # the index limit and within identity's substituted degree limit: the
 # substituted C_n has degree at most n.

@@ -154,16 +154,16 @@ class IdentityReport(
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        doc = {
-            "family": self.family,
-            "input": self.input.to_json(),
-            "substituted": self.substituted.to_json(),
-            "is_constant": self.is_constant,
-        }
+    def _doc(self) -> dict:
+        """The JSON document with its polynomials as Poly values, which json_text writes."""
+        doc = dict(family=self.family, input=self.input, substituted=self.substituted,
+                   is_constant=self.is_constant)
         if self.is_constant:
             doc["constant_value"] = str(self.constant_value)
         return doc
+
+    def to_json(self) -> dict:
+        return {k: v.to_json() if isinstance(v, Poly) else v for k, v in self._doc().items()}
 
 
 def verify_identity(p: Poly, family: str) -> IdentityReport:
@@ -324,7 +324,7 @@ def poly_to_latex(p: Poly, family: str) -> str:
 def emit(report: IdentityReport, fmt: str) -> str:
     """Serialize a report: machine JSON or a human LaTeX identity."""
     if fmt == "json":
-        return json_text(report.to_json())
+        return json_text(report._doc())
     if fmt == "latex":
         lhs = poly_to_latex(report.input, report.family)
         if report.is_constant:

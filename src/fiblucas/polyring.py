@@ -20,6 +20,8 @@ distinguished x always last), larger exponent first.
 JSON has one reader, Poly.from_json, one pass into integer numerators
 (canonical "p" and "p/q" coefficients read by int(), others by
 Fraction()), and one writer, json_text, equal to json.dumps(doc, indent=2).
+json_text writes a Poly anywhere in a document as its to_json(), straight from the
+numerators; both read one term walk, Poly._json_terms (order, "p/q" text, digit limit).
 """
 
 from __future__ import annotations
@@ -444,18 +446,21 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-    def to_json(self) -> dict:
-        """Canonical JSON document: variable names, ordered terms,
-        decimal-string fraction coefficients ("p/q" or "p")."""
-        name = {v: var_name(v) for v in sorted(self.variables(), key=lambda v: (v == X, v))}
+    def _json_terms(self) -> tuple[list[str], list[tuple[Mono, str]]]:
+        """The JSON document's variable names, and its terms in the canonical order with
+        "p" or "p/q" coefficients in lowest terms: the one walk to_json and json_text read."""
         nums, den = self._nums, self._den
+        names = [var_name(v) for v in sorted(self.variables(), key=lambda v: (v == X, v))]
         try:
+            order = sorted(nums, key=_mono_sort_key)
+            if den == 1:
+                return names, [(m, str(nums[m])) for m in order]
             terms = []
-            for m in sorted(nums, key=_mono_sort_key):
+            for m in order:
                 c = nums[m]
                 g = gcd(c, den)  # "p/q" in lowest terms, as str(Fraction) writes it
-                coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
-                terms.append({"coeff": coeff, "exps": {name[v]: e for v, e in m}})
+                terms.append((m, str(c // g) if g == den else f"{c // g}/{den // g}"))
+            return names, terms
         except ValueError:
             # str() refuses ints longer than the interpreter's digit
             # limit, and Fraction() would refuse to read them back
@@ -463,7 +468,13 @@ class Poly:
                 f"a coefficient has more than {sys.get_int_max_str_digits()} "
                 "decimal digits, the limit on JSON coefficients"
             ) from None
-        return {"vars": list(name.values()), "terms": terms}
+
+    def to_json(self) -> dict:
+        """Canonical JSON document: variable names, ordered terms,
+        decimal-string fraction coefficients ("p/q" or "p")."""
+        names, terms = self._json_terms()
+        terms = [{"coeff": c, "exps": {var_name(v): e for v, e in m}} for m, c in terms]
+        return {"vars": names, "terms": terms}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Poly":
@@ -513,8 +524,8 @@ class Poly:
 
 
 def json_text(doc, indent: str = "\n") -> str:
-    """json.dumps(doc, indent=2) byte for byte for str, int, bool, None, list and dict, but
-    without the pure-Python encoder indent= selects; a TypeError on anything else."""
+    """json.dumps(doc, indent=2) byte for byte for str, int, bool, None, list, dict and Poly
+    (as its to_json()), without the pure-Python encoder indent= selects; else a TypeError."""
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
     if doc is None or isinstance(doc, bool):
@@ -523,13 +534,31 @@ def json_text(doc, indent: str = "\n") -> str:
         return int.__repr__(doc)
     inner = indent + "  "
     if isinstance(doc, (list, tuple)):
-        items, ends = [json_text(v, inner) for v in doc], "[]"
-    elif isinstance(doc, dict):
+        return _block([json_text(v, inner) for v in doc], indent, "[]")
+    if isinstance(doc, dict):
         items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items()]
-        ends = "{}"
-    else:
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        return _block(items, indent, "{}")
+    if isinstance(doc, Poly):
+        return _poly_text(doc, indent)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+def _block(items: list[str], indent: str, ends: str) -> str:
+    """A JSON array or object of item texts, one to a line, one level in from indent."""
+    inner = indent + "  "
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+def _poly_text(p: Poly, indent: str) -> str:
+    """json_text(p.to_json(), indent) from p's term walk, each (v, e) member's text made once."""
+    names, terms = p._json_terms()
+    i1, i2, i3, i4 = (indent + " " * k for k in (2, 4, 6, 8))
+    text = {ve: f'"{var_name(ve[0])}": {ve[1]}' for ve in {ve for m, _ in terms for ve in m}}
+    head, exps, sep, tail = "{" + i3 + '"coeff": "', '",' + i3 + '"exps": {', "," + i4, i2 + "}"
+    rows = [f"{head}{c}{exps}{i4}{sep.join(map(text.__getitem__, m))}{i3}}}{tail}" if m
+            else f"{head}{c}{exps}}}{tail}" for m, c in terms]
+    names = _block(['"' + n + '"' for n in names], i1, "[]")
+    return _block(['"vars": ' + names, '"terms": ' + _block(rows, i1, "[]")], indent, "{}")
 
 
 def divide_by_generator(p: Poly, v: int) -> Poly | None:

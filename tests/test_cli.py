@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -72,6 +73,17 @@ def test_cayley_both_routes(capsys):
     )
     assert code == 0
     assert Poly.from_json(json.loads(out)) == cayley_closed("fibonacci", 5)
+
+
+def test_cayley_route_mismatch_writes_both_routes(capsys, monkeypatch):
+    # the mismatch document, Poly values written in place, is the same bytes
+    # as json.dumps of it with each polynomial's to_json() document
+    monkeypatch.setattr(cli, "cayley_constructive", lambda family, n: cayley_closed(family, n) + 1)
+    code, out, err = run(capsys, "cayley", "--family", "lucas", "--n", "7", "--route", "both")
+    closed = cayley_closed("lucas", 7)
+    want = {"error": "route mismatch", "closed": closed.to_json(),
+            "constructive": (closed + 1).to_json()}
+    assert (code, out, err) == (1, json.dumps(want, indent=2) + "\n", "")
 
 
 def test_cayley_out_of_range_is_usage_error(capsys):
@@ -341,6 +353,57 @@ def test_crash_exits_three(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "demo", "discriminant")
     assert (code, out) == (3, "")
     assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")
+
+
+def test_output_error_exits_two_and_other_os_errors_three(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code, _, err = run(capsys, "cayley", "--family", "fib", "--n", "4")
+    assert (code, err) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+    monkeypatch.undo()
+
+    def crash(args):
+        raise OSError(errno.EIO, "disk gone")
+
+    monkeypatch.setitem(cli._DISPATCH, "demo", crash)
+    code, out, err = run(capsys, "demo", "discriminant")
+    assert (code, out) == (3, "")
+    assert err.endswith("internal error: OSError: [Errno 5] disk gone\n")
+
+
+def _cli_writing_to(stdout, *args):
+    """The CLI as a subprocess with the given stdout; its exit code and stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-m", "fiblucas", *args], stdout=stdout,
+                         stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    return res.returncode, res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("cayley", "--family", "fib", "--n", "60"),
+    ("scan", "--family", "lucas", "--max", "6"),
+])
+def test_closed_pipe_is_an_output_error(args):
+    # one line and exit 2: no traceback, and no "Exception ignored" at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = _cli_writing_to(write_end, *args)
+    finally:
+        os.close(write_end)
+    assert got == (2, f"error: cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+
+def test_full_device_is_an_output_error():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        got = _cli_writing_to(full, "cayley", "--family", "lucas", "--n", "60", "--route", "both")
+    assert got == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):

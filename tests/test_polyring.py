@@ -12,6 +12,7 @@ import pytest
 
 from conftest import random_fraction, random_poly, random_terms, random_x_poly
 from fiblucas.derivops import Derivation, builtin_image
+from fiblucas.dixmier import cayley_closed
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly, family_values
 from fiblucas.polyring import (
     _MAX_INDEX,
@@ -686,6 +687,59 @@ def test_json_text_matches_json_dumps_hypothesis():
     @hypothesis.given(docs)
     def check(doc):
         assert json_text(doc) == json.dumps(doc, indent=2)
+
+    check()
+
+
+def _random_poly_doc(rng, polys, depth=0):
+    """A random document with polynomials at the top level and inside lists and dicts."""
+    if depth < 4 and rng.random() < 0.6:
+        items = [_random_poly_doc(rng, polys, depth + 1) for _ in range(rng.randint(0, 3))]
+        return items if rng.random() < 0.5 else {f"k{i}": v for i, v in enumerate(items)}
+    return rng.choice(polys) if rng.random() < 0.7 else _random_json_doc(rng, depth=4)
+
+
+def test_json_text_writes_a_poly_as_json_dumps_of_its_to_json():
+    rng = random.Random(9103)
+    x = Poly.x()
+    big = Poly.constant(-(10 ** 4999) - 3) * g(2) + g(1)  # 5000 digits: past str()'s limit
+    polys = [x, x ** 3 / 7 - Fraction(5, 3) * x, Poly.zero(), Poly.one(), Poly.constant(-3),
+             Poly.constant(Fraction(-4, 6)), g(_MAX_INDEX), g(_MAX_INDEX) ** 2 * x - 1,
+             cayley_closed(FIBONACCI, 9) * Fraction(2, 9), big / 3]
+    polys += [random_poly(rng, max_var=12, allow_x=True, max_terms=8) for _ in range(40)]
+    docs = polys + [[p] for p in polys] + [{"p": p, "q": [[p, 1]]} for p in polys]
+    docs += [_random_poly_doc(rng, polys) for _ in range(300)]
+    def dumps(doc):  # json.dumps with p.to_json() in place of every Poly p
+        return json.dumps(doc, indent=2, default=Poly.to_json)
+
+    for doc in docs:
+        assert _outcome(json_text, doc) == _outcome(dumps, doc), doc
+    # the digit limit is named, in the same words as by to_json
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < 5000:
+        want = (ValueError, f"a coefficient has more than {limit} decimal digits, "
+                "the limit on JSON coefficients")
+        for doc in (big, [big], {"a": {"b": big}}, big / 3):
+            assert _outcome(json_text, doc) == _outcome(Poly.to_json, big) == want
+
+
+def test_json_text_writes_a_poly_as_json_dumps_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    variables = st.sampled_from([X, 0, 1, 2, 7, _MAX_INDEX])
+    terms = st.lists(st.tuples(st.dictionaries(variables, st.integers(1, 4), max_size=3),
+                               st.fractions(max_denominator=50)), max_size=6)
+    polys = terms.map(lambda ts: Poly.from_terms([(mono_from_exps(e), c) for e, c in ts]))
+    docs = st.recursive(
+        polys | st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=8,
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(docs)
+    def check(doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, default=Poly.to_json)
 
     check()
 
