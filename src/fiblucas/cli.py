@@ -189,23 +189,30 @@ _DISPATCH = {
 }
 
 
+def _fail(message: str, code: int) -> int:
+    """Print message to stderr and return code, also when stderr cannot be
+    written: an error must keep its exit code, not turn into exit 1."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        if sys.stderr is sys.__stderr__:  # so the flush at exit writes nowhere, not fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}", 2)
     except MemoryError:  # a fixed message: formatting a traceback may need memory too
-        print("internal error: out of memory", file=sys.stderr)
-        return 3
+        return _fail("internal error: out of memory", 3)
     except Exception as exc:
         import traceback  # only on a crash, so normal runs skip its import time
 
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}", 3)
 
 
 if __name__ == "__main__":

@@ -31,16 +31,16 @@ with h = x_2, g = x_1, t = n-2 (fibonacci, n >= 3) and h = x_1,
 g = x_0, t = n-1 (lucas, n >= 2; C_1 = x_0 is the degenerate case).
 At k = t+1 the only subscript is g's own, so every g exponent is >= 0.
 
-The closed route sums integer numerators per monomial: (k-1)! cancels
-against k!, so the k-th term has denominator k, and all terms are
-scaled by L = lcm(1..t+1) and handed to Poly over L.  The constructive
+The closed route is one walk, _cayley_groups, that yields C_n as Horner
+groups of integer numerators: cayley_closed merges them into one Poly,
+and the conjecture scan substitutes them as they are.  The constructive
 route is plain Poly arithmetic, which is integer arithmetic inside.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .derivops import Derivation
 from .exactnum import binomial
@@ -60,7 +60,7 @@ __all__ = [
 
 # Size limit, rejected up front rather than run for minutes.  C_n has
 # about n^2/4 terms.  At the limit, on CPython 3.11 and a 2-vCPU x86-64
-# VM, `cayley --route both` takes about 0.2 s and `scan` 2 to 3 s.
+# VM, `cayley --route both` takes about 0.25 s and `scan` about 1.5 s.
 # C_n uses generators up to x_n, so every Cayley element stays within
 # the index limit and within identity's substituted degree limit: the
 # substituted C_n has degree at most n.
@@ -128,18 +128,21 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
     return LocalizedPoly(numerator, j, kmax - strip)
 
 
-def _closed_power_terms(kind: str, n: int, k: int):
-    """(subscript, integer coefficient) pairs of D^k(x_n) / (k-1)!, k >= 1."""
+def _closed_power_terms(kind: str, n: int, k: int) -> list[int]:
+    """The integer coefficients of x_{n-k}, x_{n-k-2}, ... in D^k(x_n) / (k-1)!
+    (k >= 1), down to the lowest valid subscript.  None is zero: the
+    binomials are positive, and so is sub (fibonacci) or n (lucas; n = 0
+    has no terms)."""
     lowest = 1 if kind == FIBONACCI else 0
-    pref = n if kind == LUCAS else 1
-    a, b = 1, binomial(n - 1, k - 1)  # C(i+k-1, k-1) and C(n-i-1, k-1), updated with i
+    # C(i+k-1, k-1) C(n-i-1, k-1), times n for lucas, updated with i
+    ab = binomial(n - 1, k - 1) * (n if kind == LUCAS else 1)
+    coeffs = []
     for i in range((n - k - lowest) // 2 + 1):
         if i:
-            a, b = a * (i + k - 1) // i, b * (n - i - k + 1) // (n - i)
-        sub = n - k - 2 * i
-        coeff = pref * (-1) ** i * (sub if kind == FIBONACCI else 1) * a * b
-        if coeff:
-            yield sub, coeff
+            ab = ab * ((i + k - 1) * (n - i - k + 1)) // (i * (n - i))
+        c = ab * (n - k - 2 * i) if kind == FIBONACCI else ab
+        coeffs.append(-c if i & 1 else c)
+    return coeffs
 
 
 def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
@@ -151,7 +154,8 @@ def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
     if n < 0:
         raise ValueError("generator index must be >= 0")
     return Poly.from_terms(
-        (((sub, 1),), factorial(k - 1) * c) for sub, c in _closed_power_terms(kind, n, k)
+        (((n - k - 2 * i, 1),), factorial(k - 1) * c)
+        for i, c in enumerate(_closed_power_terms(kind, n, k))
     )
 
 
@@ -165,28 +169,55 @@ def _check_cayley_args(kind: str, n: int) -> None:
         raise ValueError(f"Cayley elements are limited to n <= {_MAX_CAYLEY_N}, got n = {n}")
 
 
-def cayley_closed(kind: str, n: int) -> Poly:
-    """The Cayley kernel element C_n from its closed formula."""
-    _check_cayley_args(kind, n)
+def _cayley_groups(kind: str, n: int) -> tuple[list, int]:
+    """C_n from its closed formula as Horner groups over one denominator.
+
+    Returns (groups, den) with C_n = sum prefix * factors[i] * coeffs[i] / den
+    over the groups (prefix, factors, coeffs); each prefix + factor is a
+    distinct canonical monomial.  Group k >= 0 has the prefix x_g^(t-k) x_h^k
+    and the linear form of D^k(x_n) in the x_sub, sub > h.  The last
+    subscript of each D^k(x_n) (k >= 1) is g or h, and folds into the pure
+    slice monomial x_g^(t+1-j) x_h^j, the group (x_g^(t+1-j), [x_h^j], [c]).
+    (k-1)! cancels against k!, so over L = lcm(1..t+1) the k-th term's
+    numerators are (-1)^k (L/k) c, c in D^k(x_n)/(k-1)!; den is L over the
+    gcd of L and all of them, so each c is divided by k once, never scaled
+    by L.  Expects arguments that passed _check_cayley_args.
+    """
     if kind == LUCAS and n == 1:
-        return Poly.gen(0)
+        return [((), [((0, 1),)], [1])], 1
     h, g = (2, 1) if kind == FIBONACCI else (1, 0)
     t = n - h  # n-2 (fibonacci), n-1 (lucas)
-    scale = lcm(*range(1, t + 2))  # L
-    # canonical monomials x_g^(t-k) x_h^k x_sub, written as tuples; only a
-    # subscript g or h can meet another term's monomial
-    acc = {((g, t), (n, 1)): scale}  # k = 0: x_n g^t
+    scale = common = lcm(*range(1, t + 2))  # L, and the gcd of L and every numerator
+    slices = [0] * (t + 2)  # the numerator over L of x_g^(t+1-j) x_h^j at j
+    linear = []  # per k, the coefficients of the x_sub, sub > h, in D^k(x_n)/(k-1)!
     for k in range(1, t + 2):
-        step = (-1) ** k * (scale // k)
-        base = ((g, t - k), (h, k))  # sub > h only occurs for k < t
-        for sub, c in _closed_power_terms(kind, n, k):
-            if sub > h:
-                acc[base + ((sub, 1),)] = step * c
-            else:
-                eg, eh = t - k + (sub == g), k + (sub == h)
-                m = ((g, eg), (h, eh)) if eg else ((h, eh),)
-                acc[m] = acc.get(m, 0) + step * c
-    return Poly._make({m: s for m, s in acc.items() if s}, scale)
+        coeffs = _closed_power_terms(kind, n, k)
+        last = n - k - 2 * (len(coeffs) - 1)
+        slices[k + (last == h)] += (-1) ** k * (scale // k) * coeffs.pop()
+        if coeffs:  # only for k < t, so t-k > 0
+            common = gcd(common, scale // k * gcd(*coeffs))
+        linear.append(coeffs)
+    common = gcd(common, *slices)
+    den = scale // common
+    factor = [((sub, 1),) for sub in range(n + 1)]  # x_sub, one tuple per subscript
+    groups = [(((g, t),), [factor[n]], [den])]  # k = 0: x_g^t x_n
+    for k, coeffs in enumerate(linear, 1):
+        if coeffs:  # (-1)^k (L/k) c / common = (-1)^k c den / k, exactly
+            sign_den = (-1) ** k * den
+            groups.append((((g, t - k), (h, k)), factor[n - k:h:-2],
+                           [c * sign_den // k for c in coeffs]))
+    groups += [(((g, t + 1 - j),) if j <= t else (), [((h, j),)], [c // common])
+               for j, c in enumerate(slices) if c]
+    return groups, den
+
+
+def cayley_closed(kind: str, n: int) -> Poly:
+    """The Cayley kernel element C_n from its closed formula: the
+    Horner groups of _cayley_groups, merged into one Poly."""
+    _check_cayley_args(kind, n)
+    groups, den = _cayley_groups(kind, n)
+    return Poly._make({prefix + f: c for prefix, factors, coeffs in groups
+                       for f, c in zip(factors, coeffs)}, den)
 
 
 def cayley_constructive(kind: str, n: int) -> Poly:

@@ -406,6 +406,62 @@ def test_full_device_is_an_output_error():
     assert got == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
+def test_unwritable_stderr_keeps_the_error_code(capsys, monkeypatch):
+    # the error line's own OSError must not turn exit 2 or 3 into exit 1
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert run(capsys, "cayley", "--family", "fib", "--n", "2")[:2] == (2, "")
+    monkeypatch.setitem(cli._DISPATCH, "demo", crash)
+    assert run(capsys, "demo", "discriminant")[:2] == (3, "")
+    monkeypatch.setitem(cli._DISPATCH, "demo", out_of_memory)
+    assert run(capsys, "demo", "discriminant")[:2] == (3, "")
+
+
+# a crash inside a real CLI process: demo's handler replaced by one that raises
+_CRASH = ("import sys; from fiblucas import cli; cli._DISPATCH['demo'] = lambda args: 1 / 0; "
+          "sys.exit(cli.main(['demo', 'discriminant']))")
+
+
+def _cli_erring_to(stderr, code, *args, stdout=subprocess.PIPE):
+    """The CLI, or with code the script code, as a subprocess with the
+    given stderr; its exit code and stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["-c", code] if code else ["-m", "fiblucas", *args]
+    res = subprocess.run([sys.executable, *argv], stdout=stdout, stderr=stderr,
+                         env=env, text=True, timeout=120)
+    return res.returncode, res.stdout
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_unwritable_stderr_keeps_the_error_code_in_a_process(sink):
+    # a usage error stays 2 and a crash 3, with nothing on stdout; with
+    # stdout on the same sink, an output error stays 2 as well
+    if sink == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    if sink == "closed pipe":
+        read_end, err = os.pipe()
+        os.close(read_end)
+    else:
+        err = os.open("/dev/full", os.O_WRONLY)
+    try:
+        assert _cli_erring_to(err, None, "cayley", "--family", "fib", "--n", "2") == (2, "")
+        assert _cli_erring_to(err, _CRASH) == (3, "")
+        assert _cli_erring_to(err, None, "cayley", "--family", "fib", "--n", "60",
+                              stdout=err) == (2, None)
+    finally:
+        os.close(err)
+
+
 def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):
     # the handler must not import traceback, which may itself fail when
     # memory is short and turn the crash into exit 1

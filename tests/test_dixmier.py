@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from time import perf_counter
 
 import pytest
@@ -9,6 +9,7 @@ from fiblucas.dixmier import (
     _MAX_CAYLEY_N,
     LocalizedPoly,
     Slice,
+    _cayley_groups,
     cayley_closed,
     cayley_constructive,
     dixmier_sigma,
@@ -144,6 +145,24 @@ def test_constructive_route_matches_closed_route():
     for kind, lo in (("fibonacci", 3), ("lucas", 1)):
         for n in [*range(lo, 16), 30, 40]:
             assert cayley_constructive(kind, n) == cayley_closed(kind, n), (kind, n)
+
+
+def test_cayley_groups_are_the_constructive_element():
+    # the closed formula's Horner groups, read as terms independently of
+    # cayley_closed: canonical monomials, none twice, no zero numerator, a
+    # reduced denominator, and the constructive route's C_n
+    for kind, ns in (("fibonacci", [3, 4, 5, 6, 17, 40, 61, 120]),
+                     ("lucas", [1, 2, 3, 4, 5, 18, 41, 120])):
+        for n in ns:
+            groups, den = _cayley_groups(kind, n)
+            terms = [(prefix + f, c) for prefix, factors, coeffs in groups
+                     for f, c in zip(factors, coeffs)]
+            monos = [m for m, _ in terms]
+            assert all(m == mono_from_exps(dict(m)) for m in monos), (kind, n)
+            assert len(set(monos)) == len(monos), (kind, n)
+            assert all(c for _, c in terms) and gcd(den, *(c for _, c in terms)) == 1
+            built = Poly.from_terms((m, Fraction(c, den)) for m, c in terms)
+            assert built == cayley_constructive(kind, n), (kind, n)
 
 
 def test_cayley_elements_lie_in_kernel():

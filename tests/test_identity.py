@@ -7,12 +7,14 @@ import pytest
 
 from conftest import random_fraction, random_poly
 from fiblucas.derivops import Derivation, kernel_member
-from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
+from fiblucas.dixmier import _MAX_CAYLEY_N, _cayley_groups, cayley_closed
 from fiblucas.families import family_poly, family_values
 from fiblucas.identity import (
     _MAX_SUBST_DEGREE,
     IdentityReport,
     _expected_constant,
+    _groups,
+    _kronecker,
     _subst_bounds,
     _unpack,
     conjecture_scan,
@@ -32,7 +34,7 @@ def g(n):
 
 def subst_degree(family, p):
     """The degree bound of phi_subst's first pass."""
-    return _subst_bounds(family, p.numerators()[0])[1]
+    return _subst_bounds(family, _groups(p.numerators()[0]))[1]
 
 
 def test_phi_fibonacci_collapses_kernel_element():
@@ -134,7 +136,7 @@ def width_slack(family, p):
     """How many bits wider the digit width from phi_subst's first pass is
     than the one from the exact bound N; checks the proved range."""
     nums = p.numerators()[0]
-    width, exact = _subst_bounds(family, nums)[2], exact_norm(family, nums)
+    width, exact = _subst_bounds(family, _groups(nums))[2], exact_norm(family, nums)
     # each generator factor adds under one bit (ceil of its log2)
     factors = max((sum(e for v, e in m if v != X) for m in nums), default=0)
     slack = width.bit_length() - exact.bit_length()
@@ -157,7 +159,7 @@ def test_subst_width_is_exact_at_the_decode_edge():
     # every image there has P_v(1) = 1, so the width is the exact bound
     for family, p, _ in decode_edge_cases():
         nums = p.numerators()[0]
-        assert _subst_bounds(family, nums)[2] == exact_norm(family, nums)
+        assert _subst_bounds(family, _groups(nums))[2] == exact_norm(family, nums)
         assert width_slack(family, p) == 0
 
 
@@ -235,6 +237,68 @@ def test_phi_builds_no_family_polynomial(family):
     family_poly.cache_clear()
     for p in (g(1000), g(990) * g(2), g(999) - 3 * g(400) * g(499) + Poly.x()):
         phi_subst(family, p)
+    assert family_poly.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_grouped_cayley_phi_matches_the_flat_route(family):
+    # the scan's route, the closed formula's Horner groups straight into the
+    # Kronecker core, against phi_subst's route on the built C_n: the same result
+    # and the same width, so the same digit width b: the groups' numerators are reduced
+    for n in range(3 if family == "fibonacci" else 1, _MAX_CAYLEY_N + 1):
+        c = cayley_closed(family, n)
+        groups, den = _cayley_groups(family, n)
+        flat = _groups(c.numerators()[0])
+        assert _kronecker(family, groups, den) == phi_subst(family, c), (family, n)
+        assert _subst_bounds(family, groups)[2] == _subst_bounds(family, flat)[2], (family, n)
+
+
+def power_of_two_polys(family):
+    """Seeded polynomials whose images include powers of two at high
+    exponents (x, and x_2 = F_2 or x_1 = L_1, each x), the images 1 (x_1 =
+    F_1, x_0 = L_0) and, for fibonacci, F_0 = 0."""
+    rng = random.Random(f"pow2-{family}")
+    to_x = [X, 2 if family == "fibonacci" else 1]
+    others = [1, 0] if family == "fibonacci" else [0]
+    cases = []
+    for _ in range(40):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 6)):
+            exps = {rng.choice(to_x): rng.randint(200, 500)}
+            if rng.random() < 0.5:
+                v = rng.choice(to_x + others)
+                exps[v] = exps.get(v, 0) + rng.randint(1, 300)
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randint(3, 30)] = rng.randint(1, 3)
+            p = p + Poly.term(random_fraction(rng) or 1, exps)
+        cases.append(p + random_fraction(rng))
+    return cases
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_phi_matches_sparse_substitution_on_powers_of_two(family):
+    cases = power_of_two_polys(family)
+    if family == "fibonacci":  # F_0 = 0 alone and times images that are shifts
+        cases += [g(0), g(0) ** 7 * Poly.x() ** 300 + g(2) ** 5, g(0) * g(1) * g(2) - 3 * g(0) ** 2]
+    for p in cases:
+        assert phi_subst(family, p) == sparse_phi(family, p), p
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "lucas"])
+def test_scan_builds_no_cayley_element(family, monkeypatch):
+    # every Poly is made by Poly._make: the scan makes none of C_n's size,
+    # only the one-term substituted constants
+    sizes = []
+    make = Poly._make.__func__
+
+    def spy(cls, nums, den=1):
+        sizes.append(len(nums))
+        return make(cls, nums, den)
+
+    monkeypatch.setattr(Poly, "_make", classmethod(spy))
+    family_poly.cache_clear()
+    assert conjecture_scan(family, 40)["ok"]
+    assert max(sizes) == 1
     assert family_poly.cache_info().currsize == 0
 
 
