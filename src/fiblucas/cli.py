@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Thin veneer: every subcommand maps to one library operation plus
-serialization.  Exit codes: 0 verified/success, 1 verification failure,
-2 usage or input error or unwritable stdout, 3 internal error (a crash,
-never reported as a failed verification).
+serialization.  Each _cmd_* returns (text, verified) and writes nothing;
+main alone writes the text to stdout, every error line to stderr, both
+through the one writer _write, and picks the exit code: 0 verified/success,
+1 verification failure, 2 usage or input error or unwritable stdout,
+3 internal error (a crash, never reported as a failed verification).
 """
 
 from __future__ import annotations
@@ -41,16 +43,6 @@ def _read_poly(source: str) -> Poly:
         raise ValueError(f"a JSON number has more than {limit} decimal digits, "
                          "the limit on JSON numbers") from None
     return Poly.from_json(doc)
-
-
-def _print(text: str) -> None:
-    """Print text to stdout and flush it; an OSError doing so is an output error (exit 2)."""
-    try:
-        print(text, flush=True)
-    except OSError as exc:
-        if sys.stdout is sys.__stdout__:  # so the flush at exit writes nowhere, not fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValueError(f"cannot write output: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,60 +89,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> tuple[str, bool]:
     d = Derivation(_FAMILY[args.family])
     if args.power < 0:
         raise ValueError("--power must be >= 0")
-    result = d.power(_read_poly(args.input), args.power)
-    _print(json_text(result))
-    return 0
+    return json_text(d.power(_read_poly(args.input), args.power)), True
 
 
-def _cmd_cayley(args) -> int:
+def _cmd_cayley(args) -> tuple[str, bool]:
     if args.route != "both":
         build = cayley_closed if args.route == "closed" else cayley_constructive
-        _print(json_text(build(_FAMILY[args.family], args.n)))
-        return 0
+        return json_text(build(_FAMILY[args.family], args.n)), True
     closed = cayley_closed(_FAMILY[args.family], args.n)
     constructive = cayley_constructive(_FAMILY[args.family], args.n)
     if closed == constructive:
-        _print(json_text(closed))
-        return 0
-    _print(json_text({"error": "route mismatch", "closed": closed, "constructive": constructive}))
-    return 1
+        return json_text(closed), True
+    mismatch = {"error": "route mismatch", "closed": closed, "constructive": constructive}
+    return json_text(mismatch), False
 
 
-def _cmd_kernel_check(args) -> int:
+def _cmd_kernel_check(args) -> tuple[str, bool]:
     member = kernel_member(Derivation(_FAMILY[args.family]), _read_poly(args.input))
-    _print(json_text({"in_kernel": member}))
-    return 0 if member else 1
+    return json_text({"in_kernel": member}), member
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args) -> tuple[str, bool]:
     report = identity.verify_identity(_read_poly(args.input), _FAMILY[args.family])
-    _print(identity.emit(report, args.format))
-    return 0 if report.is_constant else 1
+    return identity.emit(report, args.format), report.is_constant
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[str, bool]:
     result = identity.conjecture_scan(_FAMILY[args.family], args.max)
+    lines = []
     for row in result["rows"]:
         constant = row["constant"] if row["is_constant"] else "non-constant"
         if row["boundary"]:
-            _print(f"n={row['n']:<3d} constant={constant:<6s} boundary (not scored)")
+            lines.append(f"n={row['n']:<3d} constant={constant:<6s} boundary (not scored)")
         else:
             verdict = "ok" if row["ok"] else "VIOLATION"
-            _print(
+            lines.append(
                 f"n={row['n']:<3d} constant={constant:<6s} "
                 f"expected={row['expected']:<3s} {verdict}"
             )
     scored_from = next(row["n"] for row in result["rows"] if not row["boundary"])
     verdict = "PASS" if result["ok"] else "FAIL"
-    _print(f"conjecture ({result['family']}, n={scored_from}..{result['n_max']}): {verdict}")
-    return 0 if result["ok"] else 1
+    lines.append(f"conjecture ({result['family']}, n={scored_from}..{result['n_max']}): {verdict}")
+    return "\n".join(lines), result["ok"]
 
 
-def _cmd_intertwine(args) -> int:
+def _cmd_intertwine(args) -> tuple[str, bool]:
     if args.max < 0:
         raise ValueError("--max must be >= 0")
     routes_agree = True
@@ -168,14 +155,12 @@ def _cmd_intertwine(args) -> int:
     report = intertwine.check_intertwining(sub, from_d, to_d, args.max, kind=args.kind)
     if args.route == "all":
         report["routes_agree"] = routes_agree
-    _print(json_text(report))
-    return 0 if report["ok"] and routes_agree else 1
+    return json_text(report), report["ok"] and routes_agree
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[str, bool]:
     report = identity.discriminant_demo()
-    _print(json_text(report))
-    return 0 if report["ok"] else 1
+    return json_text(report), report["ok"]
 
 
 _DISPATCH = {
@@ -189,30 +174,38 @@ _DISPATCH = {
 }
 
 
-def _fail(message: str, code: int) -> int:
-    """Print message to stderr and return code, also when stderr cannot be
-    written: an error must keep its exit code, not turn into exit 1."""
-    try:
-        print(message, file=sys.stderr, flush=True)
-    except OSError:
-        if sys.stderr is sys.__stderr__:  # so the flush at exit writes nowhere, not fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-    return code
+def _write(text: str, stream) -> OSError | None:
+    """Write text and a newline to stream and flush it; the OSError doing so, if any, after
+    which the process's own stdout or stderr writes to /dev/null, so the exit flush cannot fail."""
+    try:  # one write: unbuffered (python -u), print would write the newline apart
+        stream.write(text + "\n")
+        stream.flush()
+    except OSError as exc:
+        if stream is sys.__stdout__ or stream is sys.__stderr__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        text, verified = _DISPATCH[args.command](args)
+        if error := _write(text, sys.stdout):
+            raise ValueError(f"cannot write output: {error.strerror or error}")
+        return 0 if verified else 1
     except ValueError as exc:
-        return _fail(f"error: {exc}", 2)
+        message, code = f"error: {exc}", 2
     except MemoryError:  # a fixed message: formatting a traceback may need memory too
-        return _fail("internal error: out of memory", 3)
+        message, code = "internal error: out of memory", 3
     except Exception as exc:
         import traceback  # only on a crash, so normal runs skip its import time
 
-        return _fail(f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}", 3)
+        message, code = f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}", 3
+    # an unwritable stderr keeps the error's code: it must not turn into exit 1
+    _write(message, sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

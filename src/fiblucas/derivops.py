@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .families import APPELL, FIBONACCI, LUCAS, derivative_terms
+from .families import APPELL, FIBONACCI, LUCAS, _check_kind, derivative_terms
 from .polyring import Poly, _check_index
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "builtin_image",
     "kernel_member",
 ]
-
-_BUILTINS = (FIBONACCI, LUCAS, APPELL)
 
 # Work limit on one call of `__call__`, or on all the applications of `power`,
 # in walk steps (see the module docstring).  At the limit, on CPython 3.11 and a
@@ -73,9 +71,8 @@ _MAX_KEY_SIZE = 2**24
 @lru_cache(maxsize=1024)
 def builtin_image(kind: str, n: int) -> Poly:
     """Generator image D(x_n) for one of the built-in derivations."""
-    if kind not in _BUILTINS:
-        raise ValueError(f"unknown derivation kind: {kind!r}")
-    return Poly.from_terms((((i, 1),), c) for i, c in derivative_terms(kind, _check_index(n)))
+    terms = derivative_terms(_check_kind(kind), _check_index(n))
+    return Poly.from_terms((((i, 1),), c) for i, c in terms)
 
 
 def _pack(monos, bits: int) -> dict:
@@ -131,9 +128,7 @@ class Derivation:
     __slots__ = ("kind",)
 
     def __init__(self, kind: str) -> None:
-        if kind not in _BUILTINS:
-            raise ValueError(f"unknown derivation kind: {kind!r}")
-        self.kind = kind
+        self.kind = _check_kind(kind)
 
     @classmethod
     def fibonacci(cls) -> "Derivation":

@@ -44,8 +44,8 @@ from math import factorial, gcd, lcm
 
 from .derivops import Derivation
 from .exactnum import binomial
-from .families import FIBONACCI, LUCAS
-from .polyring import Poly
+from .families import FIBONACCI, LUCAS, _check_kind
+from .polyring import Poly, _check_index
 
 __all__ = [
     "closed_power_on_generator",
@@ -147,12 +147,10 @@ def _closed_power_terms(kind: str, n: int, k: int) -> list[int]:
 
 def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
     """D^k(x_n) straight from the closed formula (k >= 1)."""
-    if kind not in (FIBONACCI, LUCAS):
-        raise ValueError(f"closed power formula needs fibonacci or lucas, got {kind!r}")
+    _check_kind(kind, (FIBONACCI, LUCAS))
     if k < 1:
         raise ValueError("closed power formula needs k >= 1")
-    if n < 0:
-        raise ValueError("generator index must be >= 0")
+    _check_index(n)
     return Poly.from_terms(
         (((n - k - 2 * i, 1),), factorial(k - 1) * c)
         for i, c in enumerate(_closed_power_terms(kind, n, k))
@@ -160,9 +158,7 @@ def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
 
 
 def _check_cayley_args(kind: str, n: int) -> None:
-    first = {FIBONACCI: 3, LUCAS: 1}.get(kind)
-    if first is None:
-        raise ValueError(f"Cayley elements exist for fibonacci or lucas, got {kind!r}")
+    first = {FIBONACCI: 3, LUCAS: 1}[_check_kind(kind, (FIBONACCI, LUCAS))]
     if n < first:
         raise ValueError(f"{kind} Cayley elements start at n = {first}")
     if n > _MAX_CAYLEY_N:

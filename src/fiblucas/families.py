@@ -43,9 +43,11 @@ APPELL = "appell"
 _FAMILIES = (FIBONACCI, LUCAS, APPELL)
 
 
-def _check_kind(kind: str, allowed=_FAMILIES) -> None:
+def _check_kind(kind: str, allowed=_FAMILIES) -> str:
+    """kind, if it is one of allowed: the package's one check of a kind name."""
     if kind not in allowed:
-        raise ValueError(f"unknown family kind: {kind!r}")
+        raise ValueError(f"kind must be one of {', '.join(allowed)}, got {kind!r}")
+    return kind
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from operator import mul
 from .derivops import Derivation, kernel_member
 from .dixmier import _cayley_groups, _check_cayley_args
 from .dixmier import cayley_closed  # noqa: F401  perfbench/launcher.py wraps it here by name
-from .families import FIBONACCI, LUCAS, family_values
+from .families import FIBONACCI, LUCAS, _check_kind, family_values
 from .families import family_poly  # noqa: F401  perfbench/launcher.py wraps it here by name
 from .intertwine import AL, psi
 from .polyring import (
@@ -35,13 +35,7 @@ __all__ = [
     "poly_to_latex",
 ]
 
-_PHI_FAMILIES = (FIBONACCI, LUCAS)
 _MAX_SUBST_DEGREE = 1000  # largest degree in x of a substituted polynomial
-
-
-def _check_family(family: str) -> None:
-    if family not in _PHI_FAMILIES:
-        raise ValueError(f"family must be fibonacci or lucas, got {family!r}")
 
 
 def _unpack(packed: int, b: int) -> list[int]:
@@ -180,7 +174,7 @@ def phi_subst(family: str, p: Poly) -> Poly:
     leaving out terms with the factor F_0 = 0, so b two bits past N'
     decodes exactly; pass 2 is the packed evaluation.
     """
-    _check_family(family)
+    _check_kind(family, (FIBONACCI, LUCAS))
     nums, den = p.numerators()
     return _kronecker(family, _groups(nums), den)
 
@@ -238,7 +232,7 @@ def conjecture_scan(family: str, n_max: int) -> dict:
     groups by the Kronecker core phi_subst runs on, so no C_n is built.
     The expected value P_n(0) is only reported against, never assumed.
     """
-    _check_family(family)
+    _check_kind(family, (FIBONACCI, LUCAS))
     n_min = 3 if family == FIBONACCI else 1
     if n_max < (3 if family == FIBONACCI else 2):
         raise ValueError("n_max below the family's first scored element")
@@ -352,7 +346,7 @@ def _fraction_latex(c: Fraction) -> str:
 
 def poly_to_latex(p: Poly, family: str) -> str:
     """Render a generator polynomial with family symbols (F_{i}(x) etc.)."""
-    _check_family(family)
+    _check_kind(family, (FIBONACCI, LUCAS))
     letter = "F" if family == FIBONACCI else "L"
 
     def symbol(v: int) -> str:

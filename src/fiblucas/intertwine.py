@@ -61,6 +61,7 @@ from math import factorial, lcm
 
 from .derivops import Derivation
 from .exactnum import bessel_j0_series, bessel_j1_series, falling_factorial
+from .families import _check_kind
 from .polyring import Poly, X, var_name
 
 __all__ = [
@@ -99,8 +100,7 @@ _MAX_INTERTWINE_N = 100
 def _check_args(kind: str, route: str = ROUTE_BETA, n: int = 0, s: int = 0) -> None:
     """Validate kind and route, and the size limit that every entry
     point goes through: n <= _MAX_INTERTWINE_N and 2s <= _MAX_INTERTWINE_N."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be {AL!r} or {AF!r}, got {kind!r}")
+    _check_kind(kind, _KINDS)
     if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
     if max(n, 2 * s) > _MAX_INTERTWINE_N:

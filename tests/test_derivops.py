@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 
 from conftest import random_fraction, random_poly
-from fiblucas import derivops
+from fiblucas import derivops, dixmier
 from fiblucas.derivops import Derivation, builtin_image, kernel_member
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
@@ -178,11 +178,20 @@ def test_closed_power_matches_iterated_application():
                 assert closed_power_on_generator(kind, n, k) == expected, (kind, n, k)
 
 
-def test_closed_power_argument_checks():
+def test_closed_power_argument_checks(monkeypatch):
     with pytest.raises(ValueError):
         closed_power_on_generator(APPELL, 3, 1)
     with pytest.raises(ValueError):
         closed_power_on_generator(FIBONACCI, 3, 0)
+    # the index is refused before any coefficient is computed
+    monkeypatch.setattr(dixmier, "_closed_power_terms",
+                        lambda *args: pytest.fail(f"coefficients computed for {args}"))
+    for n, message in ((-1, "generator index must be >= 0"),
+                       (_MAX_INDEX + 1, f"generator x{_MAX_INDEX + 1} is past the index limit"),
+                       (10**6, f"generator x{10**6} is past the index limit")):
+        for kind in (FIBONACCI, LUCAS):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                closed_power_on_generator(kind, n, 3)
 
 
 def test_kernel_member_examples():
@@ -202,7 +211,8 @@ def test_derive_rejects_the_indeterminate():
 def test_custom_derivation():
     # the three built-ins are the only kinds: an image table is no kind
     for kind in ("custom", "Fibonacci", ""):
-        with pytest.raises(ValueError, match=f"^unknown derivation kind: {re.escape(repr(kind))}$"):
+        with pytest.raises(ValueError, match="^kind must be one of fibonacci, lucas, appell, "
+                                             f"got {re.escape(repr(kind))}$"):
             Derivation(kind)
 
 

@@ -100,12 +100,14 @@ def test_series_difference_of_squares():
     a = TruncatedSeries([1, 1, 0])
     b = TruncatedSeries([1, -1, 0])
     assert (a * b).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
+    assert repr(a * b) == "TruncatedSeries([Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1)])"
 
 
 def test_series_one_is_multiplicative_identity():
     rng = random.Random(5)
     s = TruncatedSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)])
     assert TruncatedSeries.one(8) * s == s
+    assert hash(TruncatedSeries.one(8) * s) == hash(s)
 
 
 def test_series_order_mismatch_rejected():

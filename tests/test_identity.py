@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 
 from conftest import random_fraction, random_poly
+from fiblucas import identity
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import _MAX_CAYLEY_N, _cayley_groups, cayley_closed
 from fiblucas.families import family_poly, family_values
@@ -465,7 +466,7 @@ def test_conjecture_scan_range_validation():
         conjecture_scan("lucas", 1)
 
 
-def test_discriminant_demo_all_stages():
+def test_discriminant_demo_all_stages(monkeypatch):
     report = discriminant_demo()
     assert report["ok"]
     assert [s["stage"] for s in report["stages"]] == [
@@ -476,11 +477,21 @@ def test_discriminant_demo_all_stages():
     ]
     assert all(s["ok"] for s in report["stages"])
     assert report["constant"] == "-864"
+    # stage d fails, with no constant, when x_0 does not divide the Lucas determinant
+    monkeypatch.setattr(identity, "divide_by_generator", lambda p, v: None)
+    report = discriminant_demo()
+    assert report["stages"][-1] == {"stage": "lucas-constant", "ok": False}
+    assert report["ok"] is False and report["constant"] is None
 
 
 def test_emit_latex_golden():
     report = verify_identity(cayley_closed("fibonacci", 3), "fibonacci")
     assert emit(report, "latex") == "F_{1}(x)F_{3}(x)-F_{2}(x)^{2}=1"
+    # a non-constant result is written with the family's symbols too
+    report = verify_identity(g(1) * g(3) - g(2) ** 2 + g(4) / 2, "lucas")
+    assert emit(report, "latex") == (
+        r"L_{1}(x)L_{3}(x)-L_{2}(x)^{2}+\frac{1}{2}L_{4}(x)=\frac{1}{2}x^{4}+x^{2}-3"
+    )
 
 
 def test_emit_latex_zero_and_lucas_symbols():

@@ -477,6 +477,7 @@ def test_equal_polys_built_two_ways_hash_equal():
             (p * Fraction(2, 3) + p / 3, p),
             ((p * 6) / 6, p),
             (p + q - q, p),
+            (Fraction(1, 3) - p, -p + Fraction(1, 3)),
         ]:
             _assert_primitive(a)
             assert a == b and hash(a) == hash(b)
