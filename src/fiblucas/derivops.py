@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .families import APPELL, FIBONACCI, LUCAS, _check_kind, derivative_terms
-from .polyring import Poly, _check_index
+from .polyring import Poly, X, _check_index
 
 __all__ = [
     "Derivation",
@@ -154,7 +154,8 @@ class Derivation:
 
     def _apply(self, p: Poly, spent: int) -> tuple[Poly, int]:
         """(D(p), spent plus the walk steps of D(p)); see _MAX_WALK_STEPS."""
-        if p.contains_x:
+        variables = p.variables()
+        if X in variables:
             raise ValueError("derivations act on generator polynomials; found x")
         nums, den = p.numerators()
         bits = p.degree().bit_length()
@@ -163,7 +164,7 @@ class Derivation:
         bits += bits % 61 == 0
         # every index, then the key size, is checked before any key is built;
         # one field per generator up to the highest: an image lowers the index
-        fields = max(map(_check_index, {v: 0 for m in nums for v, _ in m}), default=-1) + 1
+        fields = max(map(_check_index, variables), default=-1) + 1
         if (size := fields * fields * bits) > _MAX_KEY_SIZE:
             raise ValueError(
                 f"packed monomial keys of {fields} fields of {bits} bits measure "

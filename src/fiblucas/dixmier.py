@@ -8,10 +8,12 @@ D^2(h) = 0; with lambda = -h/D(h) the map
     sigma(x_n) = sum_k D^k(x_n) * lambda^k / k!
 
 (a finite sum, by local nilpotency) lands in the kernel of D extended
-to the localization at D(h).  The slices used here are h = x_2 for the
-Fibonacci derivation (D(x_2) = x_1) and h = x_1 for the Lucas one
-(D(x_1) = x_0), so sigma(x_n) is a polynomial divided by a power of a
-single generator.  Clearing that power (x_1^{n-2}, resp. x_0^{n-1})
+to the localization at D(h).  A slice is passed as the one Poly h:
+dixmier_sigma computes D(h) itself and takes h when D(h) = c x_j, a
+rational multiple of a single generator, so that sigma(x_n) is a
+polynomial over a power of x_j.  The slices used here are h = x_2 for
+the Fibonacci derivation (D(x_2) = x_1) and h = x_1 for the Lucas one
+(D(x_1) = x_0).  Clearing the power (x_1^{n-2}, resp. x_0^{n-1})
 yields the Cayley element C_n.
 
 Closed route: the same Dixmier sum with every D^k(x_n) read off the
@@ -45,14 +47,11 @@ from math import factorial, gcd, lcm
 from .derivops import Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS, _check_kind
-from .polyring import Poly, _check_index
+from .polyring import Poly, _check_index, divide_by_generator
 
 __all__ = [
     "closed_power_on_generator",
-    "Slice",
     "LocalizedPoly",
-    "fibonacci_slice",
-    "lucas_slice",
     "dixmier_sigma",
     "cayley_closed",
     "cayley_constructive",
@@ -67,21 +66,6 @@ __all__ = [
 _MAX_CAYLEY_N = 150
 
 
-class Slice(namedtuple("Slice", "h image")):
-    """A polynomial h together with image = D(h), where D^2(h) = 0;
-    an immutable named tuple of two `Poly`s."""
-
-    __slots__ = ()
-
-
-def fibonacci_slice() -> Slice:
-    return Slice(Poly.gen(2), Poly.gen(1))
-
-
-def lucas_slice() -> Slice:
-    return Slice(Poly.gen(1), Poly.gen(0))
-
-
 class LocalizedPoly(namedtuple("LocalizedPoly", "numerator denom_var denom_power")):
     """numerator / x_{denom_var}^denom_power, with the power minimal;
     an immutable named tuple of a `Poly` and two ints."""
@@ -89,18 +73,19 @@ class LocalizedPoly(namedtuple("LocalizedPoly", "numerator denom_var denom_power
     __slots__ = ()
 
 
-def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
+def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     """sigma(x_n) = sum_k D^k(x_n) lambda^k / k!, lambda = -h/D(h).
 
-    Returned over a minimal power of the slice's denominator generator.
-    Requires the slice invariant (D(h) = image != 0, D(image) = 0) and
-    an image c * x_j, a rational multiple of a single generator.  The
-    sum x_j^kmax sigma = sum_k D^k(x_n) (-h)^k x_j^(kmax-k) / (k! c^k)
-    is built from Poly products; x_j is then stripped in one pass.
+    h must be a slice whose image is a rational multiple of a single
+    generator: D(h) = c * x_j != 0 and D^2(h) = 0.  Returned over a
+    minimal power of x_j.  The sum
+    x_j^kmax sigma = sum_k D^k(x_n) (-h)^k x_j^(kmax-k) / (k! c^k)
+    is built from Poly products; x_j is then divided out while it divides.
     """
-    if s.image.is_zero() or d(s.h) != s.image or not d(s.image).is_zero():
-        raise ValueError("slice invariant violated: need D(h) = image != 0 and D(image) = 0")
-    terms = list(s.image.items())
+    image = d(h)
+    if image.is_zero() or not d(image).is_zero():
+        raise ValueError("slice invariant violated: need D(h) != 0 and D^2(h) = 0")
+    terms = list(image.items())
     if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][0][0][1] != 1:
         raise ValueError("slice image must be a rational multiple of a single generator")
     (((j, _),), c) = terms[0]
@@ -111,21 +96,17 @@ def dixmier_sigma(d: Derivation, s: Slice, n: int) -> LocalizedPoly:
         powers.append(d(powers[-1]))
     kmax = len(powers) - 2  # last nonzero index
 
-    neg_h = -s.h
+    neg_h = -h
     total, weight = Poly.zero(), Poly.one()  # weight = (-h)^k / (k! c^k)
     for k in range(kmax + 1):
         if k:
             weight = weight * neg_h / (k * c)
         total = total + powers[k] * (weight * Poly.term(1, {j: kmax - k}))
 
-    # strip the power of x_j that divides every term, at most kmax, in one pass
-    nums, den = total.numerators()
-    strip = min(kmax, min((dict(m).get(j, 0) for m in nums), default=kmax))
-    numerator = Poly._make({
-        tuple((v, e - strip) if v == j else (v, e) for v, e in m if v != j or e > strip): t
-        for m, t in nums.items()
-    }, den)
-    return LocalizedPoly(numerator, j, kmax - strip)
+    power = kmax
+    while power and (reduced := divide_by_generator(total, j)) is not None:
+        total, power = reduced, power - 1
+    return LocalizedPoly(total, j, power)
 
 
 def _closed_power_terms(kind: str, n: int, k: int) -> list[int]:
@@ -151,6 +132,8 @@ def closed_power_on_generator(kind: str, n: int, k: int) -> Poly:
     if k < 1:
         raise ValueError("closed power formula needs k >= 1")
     _check_index(n)
+    if k > n:  # every image lowers the index
+        return Poly.zero()
     return Poly.from_terms(
         (((n - k - 2 * i, 1),), factorial(k - 1) * c)
         for i, c in enumerate(_closed_power_terms(kind, n, k))
@@ -222,8 +205,7 @@ def cayley_constructive(kind: str, n: int) -> Poly:
     _check_cayley_args(kind, n)
     if kind == LUCAS and n == 1:
         return Poly.gen(0)  # sigma(x_1) degenerates to 0
-    s = fibonacci_slice() if kind == FIBONACCI else lucas_slice()
-    sig = dixmier_sigma(Derivation(kind), s, n)
+    sig = dixmier_sigma(Derivation(kind), Poly.gen(2 if kind == FIBONACCI else 1), n)
     target = n - 2 if kind == FIBONACCI else n - 1
     if sig.denom_power != target:
         raise ArithmeticError(f"sigma(x{n}) has denominator power {sig.denom_power}, not {target}")

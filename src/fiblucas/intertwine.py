@@ -300,6 +300,7 @@ def check_intertwining(
 
     Returns a report dict; a mismatch is an outcome, not an error.
     """
+    _check_kind(kind, _KINDS)
     report = dict(kind=kind, n_max=n_max, ok=True, first_mismatch=None, lhs=None, rhs=None)
     for n in range(n_max + 1):
         lhs = sub.apply(from_d.image(n))

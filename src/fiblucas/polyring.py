@@ -272,18 +272,8 @@ class Poly:
         return max(sum(e for _, e in m) for m in self._nums)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self._nums:
-            for v, _ in m:
-                out.add(v)
-        return out
-
-    @property
-    def contains_x(self) -> bool:
-        return any(v == X for m in self._nums for v, _ in m)
-
-    def generator_vars(self) -> set[int]:
-        return {v for m in self._nums for v, _ in m if v != X}
+        """The ids of the variables that occur, X among them if x does."""
+        return {v for m in self._nums for v, _ in m}
 
     # ---- ring operations -------------------------------------------------
 
@@ -404,7 +394,7 @@ class Poly:
         Defined only for polynomials in x alone; generator variables
         present is an error (the two rings are never mixed silently).
         """
-        gens = self.generator_vars()
+        gens = self.variables() - {X}
         if gens:
             bad = var_name(min(gens))
             raise ValueError(

@@ -182,6 +182,14 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_power_and_max_exit_two_naming_the_flag(tmp_path, capsys):
+    path = poly_file(tmp_path, g(3))
+    code, out, err = run(capsys, "derive", "--family", "fib", "--input", path, "--power", "-1")
+    assert (code, out, err) == (2, "", "error: --power must be >= 0\n")
+    code, out, err = run(capsys, "intertwine", "--kind", "AL", "--max", "-1")
+    assert (code, out, err) == (2, "", "error: --max must be >= 0\n")
+
+
 def test_bad_input_file_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -14,7 +14,7 @@ from fiblucas.derivops import Derivation, builtin_image, kernel_member
 from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly
 from fiblucas.identity import phi_subst
-from fiblucas.polyring import _MAX_INDEX, Poly, mono_from_exps, mul_into, var_name
+from fiblucas.polyring import _MAX_INDEX, Poly, X, mono_from_exps, mul_into, var_name
 
 
 def g(n):
@@ -78,7 +78,7 @@ def test_integer_images_and_leibniz_pass_build_no_fraction():
 def test_image_index_limit_and_memo_bound():
     past = f"generator x{_MAX_INDEX + 1} is past the index limit {_MAX_INDEX}$"
     for kind in (FIBONACCI, LUCAS, APPELL):
-        assert builtin_image(kind, _MAX_INDEX).generator_vars()
+        assert builtin_image(kind, _MAX_INDEX).variables()
         with pytest.raises(ValueError, match=past):
             builtin_image(kind, _MAX_INDEX + 1)
         with pytest.raises(ValueError, match=past):
@@ -133,6 +133,13 @@ def test_derive_power_zero_is_identity():
         assert d.power(p, 0) == p
 
 
+def test_derivation_repr_and_negative_power():
+    assert [repr(Derivation(kind)) for kind in (FIBONACCI, LUCAS, APPELL)] == [
+        "Derivation('fibonacci')", "Derivation('lucas')", "Derivation('appell')"]
+    with pytest.raises(ValueError, match="^power must be >= 0$"):
+        Derivation.lucas().power(g(3), -1)
+
+
 def test_derive_power_example():
     # iterate the image table by hand: D(5x5 - 3x3 + x1) = 20x4 - 16x2
     d = Derivation.fibonacci()
@@ -176,6 +183,22 @@ def test_closed_power_matches_iterated_application():
             for k in range(1, n + 1):
                 expected = d.power(g(n), k)
                 assert closed_power_on_generator(kind, n, k) == expected, (kind, n, k)
+
+
+def test_closed_power_is_zero_past_the_index(monkeypatch):
+    # every image lowers the index, so D^k(x_n) = 0 for k > n
+    for kind in (FIBONACCI, LUCAS):
+        d = Derivation(kind)
+        for n in range(11):
+            for k in (n + 1, n + 2):
+                assert closed_power_on_generator(kind, n, k) == d.power(g(n), k) == 0, (kind, n, k)
+    # and no coefficient is computed: at n = 0 they start from the generalized C(-1, k-1)
+    monkeypatch.setattr(dixmier, "_closed_power_terms",
+                        lambda *args: pytest.fail(f"coefficients computed for {args}"))
+    for kind in (FIBONACCI, LUCAS):
+        t0 = perf_counter()
+        assert closed_power_on_generator(kind, 0, 10**6).is_zero()
+        assert perf_counter() - t0 < 0.1
 
 
 def test_closed_power_argument_checks(monkeypatch):
@@ -355,7 +378,7 @@ def test_integer_leibniz_matches_fraction_reference(kind):
 def call_reference(self, p):
     """Derivation.__call__ as it was before the packed pass: one mul_into
     merge of monomial tuples per (term, image) pair."""
-    if p.contains_x:
+    if X in p.variables():
         raise ValueError(
             "derivations act on generator polynomials; found x"
         )

@@ -8,13 +8,10 @@ from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import (
     _MAX_CAYLEY_N,
     LocalizedPoly,
-    Slice,
     _cayley_groups,
     cayley_closed,
     cayley_constructive,
     dixmier_sigma,
-    fibonacci_slice,
-    lucas_slice,
 )
 from fiblucas.polyring import Poly, divide_by_generator, mono_from_exps
 
@@ -28,26 +25,26 @@ def t(c, exps):
 
 
 def test_sigma_fibonacci_first_nontrivial():
-    sig = dixmier_sigma(Derivation.fibonacci(), fibonacci_slice(), 3)
+    sig = dixmier_sigma(Derivation.fibonacci(), g(2), 3)
     assert sig.numerator == g(3) * g(1) - g(2) ** 2
     assert sig.denom_var == 1
     assert sig.denom_power == 1
 
 
 def test_sigma_lucas_first_nontrivial():
-    sig = dixmier_sigma(Derivation.lucas(), lucas_slice(), 2)
+    sig = dixmier_sigma(Derivation.lucas(), g(1), 2)
     assert sig.numerator == g(2) * g(0) - g(1) ** 2
     assert sig.denom_var == 0
     assert sig.denom_power == 1
 
 
 def test_sigma_fixes_kernel_generators():
-    for d, s, n in [
-        (Derivation.fibonacci(), fibonacci_slice(), 0),
-        (Derivation.fibonacci(), fibonacci_slice(), 1),
-        (Derivation.lucas(), lucas_slice(), 0),
+    for d, h, n in [
+        (Derivation.fibonacci(), g(2), 0),
+        (Derivation.fibonacci(), g(2), 1),
+        (Derivation.lucas(), g(1), 0),
     ]:
-        sig = dixmier_sigma(d, s, n)
+        sig = dixmier_sigma(d, h, n)
         assert sig.numerator == g(n)
         assert sig.denom_power == 0
 
@@ -55,12 +52,12 @@ def test_sigma_fixes_kernel_generators():
 def test_sigma_numerator_lies_in_kernel():
     # the slice denominators x_1 / x_0 are themselves killed, so the
     # kernel property of sigma passes to the cleared numerator
-    for d, s in [
-        (Derivation.fibonacci(), fibonacci_slice()),
-        (Derivation.lucas(), lucas_slice()),
+    for d, h in [
+        (Derivation.fibonacci(), g(2)),
+        (Derivation.lucas(), g(1)),
     ]:
         for n in range(11):
-            assert kernel_member(d, dixmier_sigma(d, s, n).numerator), n
+            assert kernel_member(d, dixmier_sigma(d, h, n).numerator), n
 
 
 @pytest.mark.parametrize("n", [512, 1000])
@@ -69,7 +66,7 @@ def test_sigma_builtin_powers_run_past_the_custom_cap(n):
     # however large n is; D_A^n(x_n) = n! x_0, so sigma(x_n) is over x_0^(n-1)
     d = Derivation.appell()
     t0 = perf_counter()
-    sig = dixmier_sigma(d, lucas_slice(), n)
+    sig = dixmier_sigma(d, g(1), n)
     assert kernel_member(d, sig.numerator)
     assert perf_counter() - t0 < 1.0
     assert (sig.denom_var, sig.denom_power) == (0, n - 1)
@@ -78,9 +75,9 @@ def test_sigma_builtin_powers_run_past_the_custom_cap(n):
 def test_sigma_rejects_invalid_slices():
     d = Derivation.fibonacci()
     with pytest.raises(ValueError, match="slice invariant"):
-        dixmier_sigma(d, Slice(g(3), d.image(3)), 4)  # D^2(x_3) != 0
+        dixmier_sigma(d, g(3), 4)  # D^2(x_3) != 0
     with pytest.raises(ValueError, match="slice invariant"):
-        dixmier_sigma(d, Slice(g(2), g(5)), 4)  # image mismatch
+        dixmier_sigma(d, g(1), 4)  # D(x_1) = 0
 
 
 def test_sigma_rejects_composite_slice_image():
@@ -90,7 +87,7 @@ def test_sigma_rejects_composite_slice_image():
     h = g(1) * g(2) + g(2)
     assert d(h) == g(1) ** 2 + g(1) and d.power(h, 2).is_zero()
     with pytest.raises(ValueError, match="single generator"):
-        dixmier_sigma(d, Slice(h, g(1) ** 2 + g(1)), 5)
+        dixmier_sigma(d, h, 5)
 
 
 def test_cayley_closed_fibonacci_golden_values():
@@ -199,22 +196,15 @@ def test_cayley_size_limit():
     assert _MAX_CAYLEY_N > 120
 
 
-def test_slice_and_localized_poly_records():
-    # immutable named tuples: keyword or positional construction, equality
+def test_localized_poly_record():
+    # an immutable named tuple: keyword or positional construction, equality
     # and hashing by fields, no field assignment, the Name(field=value) repr
-    s = Slice(h=g(2), image=g(1))
-    assert s == Slice(g(2), g(1)) == fibonacci_slice()
-    assert s != lucas_slice()
-    assert hash(s) == hash(fibonacci_slice())
-    assert repr(s) == "Slice(h=Poly(x2), image=Poly(x1))"
     loc = LocalizedPoly(numerator=g(3) - g(1) / 2, denom_var=1, denom_power=2)
     assert loc == LocalizedPoly(g(3) - g(1) / 2, 1, 2)
     assert loc != LocalizedPoly(g(3) - g(1) / 2, 1, 3)
     assert hash(loc) == hash(LocalizedPoly(g(3) - g(1) / 2, 1, 2))
     assert repr(loc) == "LocalizedPoly(numerator=Poly(-1/2*x1 + x3), denom_var=1, denom_power=2)"
-    assert len({s, fibonacci_slice(), loc}) == 2
-    with pytest.raises(AttributeError):
-        s.h = g(3)
+    assert len({loc, LocalizedPoly(g(3) - g(1) / 2, 1, 2)}) == 1
     with pytest.raises(AttributeError):
         loc.denom_power = 0
 
@@ -227,10 +217,10 @@ def test_slice_and_localized_poly_records():
 # Poly is the Fraction-dict one in test_polyring.
 
 
-def reference_dixmier_sigma(d, s, n):
+def reference_dixmier_sigma(d, h, n):
     """The Dixmier sum with Fraction weights 1/(k! c^k), x_j stripped
     one power at a time."""
-    (mono, c), = s.image.items()
+    (mono, c), = d(h).items()
     ((j, _),) = mono
     powers = [g(n)]
     while not powers[-1].is_zero():
@@ -239,7 +229,7 @@ def reference_dixmier_sigma(d, s, n):
     num = Poly.zero()
     for k in range(kmax + 1):
         scale = Fraction(1, factorial(k)) / (c ** k)
-        num = num + scale * powers[k] * (-s.h) ** k * g(j) ** (kmax - k)
+        num = num + scale * powers[k] * (-h) ** k * g(j) ** (kmax - k)
     power = kmax
     while power > 0:
         reduced = divide_by_generator(num, j)
@@ -286,32 +276,28 @@ def test_cayley_closed_matches_fraction_reference(kind):
         assert cayley_closed(kind, n) == reference_cayley_closed(kind, n), (kind, n)
 
 
-def _slice(h):
-    return Slice(h, Derivation.appell()(h))
-
-
 SMALL = range(41)
-# (derivation, slice, n values): the Fibonacci, Lucas and Appell pairs
+# (derivation, slice h, n values): the Fibonacci, Lucas and Appell pairs
 # up to n = 40 and at n = 120, and slices whose h has several terms or
 # whose image is a non-unit or rational multiple of x_j
 SIGMA_CASES = {
-    "fibonacci": (Derivation.fibonacci(), fibonacci_slice(), [*SMALL, 120]),
-    "lucas": (Derivation.lucas(), lucas_slice(), [*SMALL, 120]),
-    "appell": (Derivation.appell(), lucas_slice(), [*SMALL, 120]),
-    "appell-x1/3": (Derivation.appell(), _slice(g(1) / 3), [*SMALL, 120]),
-    "appell-x1+x0": (Derivation.appell(), _slice(g(1) + g(0)), SMALL),
-    "appell-3x1+7x0": (Derivation.appell(), _slice(3 * g(1) + 7 * g(0)), SMALL),
-    "fibonacci-x2/2+x1": (Derivation.fibonacci(), Slice(g(2) / 2 + g(1), g(1) / 2), range(25)),
-    "lucas-5x1-x0/4": (Derivation.lucas(), Slice(5 * g(1) - g(0) / 4, 5 * g(0)), range(25)),
+    "fibonacci": (Derivation.fibonacci(), g(2), [*SMALL, 120]),
+    "lucas": (Derivation.lucas(), g(1), [*SMALL, 120]),
+    "appell": (Derivation.appell(), g(1), [*SMALL, 120]),
+    "appell-x1/3": (Derivation.appell(), g(1) / 3, [*SMALL, 120]),
+    "appell-x1+x0": (Derivation.appell(), g(1) + g(0), SMALL),
+    "appell-3x1+7x0": (Derivation.appell(), 3 * g(1) + 7 * g(0), SMALL),
+    "fibonacci-x2/2+x1": (Derivation.fibonacci(), g(2) / 2 + g(1), range(25)),
+    "lucas-5x1-x0/4": (Derivation.lucas(), 5 * g(1) - g(0) / 4, range(25)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SIGMA_CASES))
 def test_dixmier_sigma_matches_fraction_reference(case):
-    d, s, ns = SIGMA_CASES[case]
+    d, h, ns = SIGMA_CASES[case]
     for n in ns:
-        sig = dixmier_sigma(d, s, n)
-        assert sig == reference_dixmier_sigma(d, s, n), (case, n)
+        sig = dixmier_sigma(d, h, n)
+        assert sig == reference_dixmier_sigma(d, h, n), (case, n)
         assert_minimal(sig)
 
 
@@ -326,23 +312,22 @@ def test_dixmier_sigma_on_rational_custom_derivations():
         (lucas, Fraction(-2, 7) * g(1) + Fraction(5, 2) * g(0)),
         (appell, Fraction(7, 4) * g(1) - Fraction(1, 9) * g(0)),
     ):
-        s = Slice(h, d(h))
         for n in range(13):
-            sig = dixmier_sigma(d, s, n)
-            assert sig == reference_dixmier_sigma(d, s, n), (d, h, n)
+            sig = dixmier_sigma(d, h, n)
+            assert sig == reference_dixmier_sigma(d, h, n), (d, h, n)
             assert_minimal(sig)
             assert kernel_member(d, sig.numerator)
 
 
 def test_dixmier_sigma_zero_sum():
     # sigma(x_1) = x_1 - D(x_1) x_1 / x_0 = 0 on the Lucas slice
-    sig = dixmier_sigma(Derivation.lucas(), lucas_slice(), 1)
+    sig = dixmier_sigma(Derivation.lucas(), g(1), 1)
     assert sig == LocalizedPoly(Poly.zero(), 0, 0)
-    assert sig == reference_dixmier_sigma(Derivation.lucas(), lucas_slice(), 1)
+    assert sig == reference_dixmier_sigma(Derivation.lucas(), g(1), 1)
 
 
 def test_dixmier_sigma_keeps_x_j_factors_past_the_denominator():
     # sigma(x_0) = x_0 on the Lucas slice: the numerator is divisible by
     # x_0, but the denominator power cannot go below zero
-    sig = dixmier_sigma(Derivation.lucas(), lucas_slice(), 0)
+    sig = dixmier_sigma(Derivation.lucas(), g(1), 0)
     assert sig == LocalizedPoly(g(0), 0, 0)

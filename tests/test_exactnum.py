@@ -103,6 +103,14 @@ def test_series_difference_of_squares():
     assert repr(a * b) == "TruncatedSeries([Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1)])"
 
 
+def test_series_refuses_foreign_operands():
+    s = TruncatedSeries([1, 2])
+    for a, b in ((s, "x1"), ("x1", s)):
+        with pytest.raises(TypeError):
+            a * b
+    assert s != "x1"
+
+
 def test_series_one_is_multiplicative_identity():
     rng = random.Random(5)
     s = TruncatedSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)])

@@ -4,6 +4,7 @@ from fiblucas.families import (
     APPELL,
     FIBONACCI,
     LUCAS,
+    derivative_rhs,
     family_poly,
     generating_function_coeffs,
     verify_derivative_formula,
@@ -99,3 +100,6 @@ def test_bad_arguments_rejected():
         generating_function_coeffs(APPELL, 4)
     with pytest.raises(ValueError):
         generating_function_coeffs(FIBONACCI, 0)
+    for kind in (FIBONACCI, LUCAS):
+        with pytest.raises(ValueError, match="^derivative identity needs n >= 1$"):
+            derivative_rhs(kind, 0)

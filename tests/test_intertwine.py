@@ -618,7 +618,7 @@ def test_check_intertwining_success():
 def test_check_intertwining_identity_map_mismatch():
     identity_map = LinearSubstitution({n: g(n) for n in range(5)})
     rep = check_intertwining(
-        identity_map, Derivation.appell(), Derivation.lucas(), 3, kind="identity"
+        identity_map, Derivation.appell(), Derivation.lucas(), 3, kind=AL
     )
     assert not rep["ok"]
     assert rep["first_mismatch"] == 3
@@ -646,6 +646,12 @@ def test_psi_applies_to_polynomials():
     sub = psi(AL, 3)
     p = g(1) * g(3) - g(2) ** 2  # not Appell-kernel; just exercises apply
     assert sub.apply(p) == g(1) * (g(3) + 3 * g(1)) - g(2) ** 2
+
+
+def test_psi_refuses_a_negative_size():
+    for kind in (AL, AF):
+        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+            psi(kind, -1)
 
 
 def test_psi_transports_random_appell_kernel_elements():

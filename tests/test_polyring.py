@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import re
 import sys
@@ -333,6 +334,33 @@ def test_mono_mul_matches_merged_exponents():
 def test_inexact_coefficients_and_exponents_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [
+        ({-2: 1}, "invalid variable id: -2"),
+        ({"x1": 1}, "invalid variable id: 'x1'"),
+        ({3: -1}, "negative exponent for x3"),
+        ({X: -2}, "negative exponent for x"),
+    ],
+)
+def test_mono_from_exps_rejects_bad_ids_and_negative_exponents(exps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mono_from_exps(exps)
+
+
+def test_division_by_zero_and_foreign_operands():
+    p = g(1) + 2
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="^division of a polynomial by zero$"):
+            p / zero
+    # a str is no coefficient: every operator refuses it, on either side
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((p, "x1"), ("x1", p)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert p != "x1"
 
 
 # ---- Poly against a plain Fraction-dict oracle --------------------------

@@ -11,6 +11,8 @@ from types import ModuleType
 import pytest
 
 import fiblucas
+from fiblucas.derivops import Derivation
+from fiblucas.intertwine import LinearSubstitution
 from fiblucas.polyring import Poly
 
 # every module but the CLI front end and `python -m` entry point
@@ -54,6 +56,31 @@ def test_each_limit_is_assigned_in_exactly_one_module():
     assert {name: mods for name, mods in homes.items() if len(mods) != 1} == {}
 
 
+def test_every_private_module_level_name_is_read_in_the_package():
+    # a private helper, constant or record defined at module level and read
+    # nowhere in the package is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(fiblucas.__file__).parent.glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private
+    assert sorted(private - read) == []
+
+
 _FLA, _FL, _ALAF = "fibonacci, lucas, appell", "fibonacci, lucas", "AL, AF"
 
 # every public entry point that takes a kind, the kinds it takes, and a
@@ -75,6 +102,9 @@ _KIND_TAKERS = [
     ("intertwine", "alpha", lambda f, k: f(k, 5, 1), _ALAF, "lucas"),
     ("intertwine", "alpha_rows", lambda f, k: f(k, 1, 4), _ALAF, "lucas"),
     ("intertwine", "psi", lambda f, k: f(k, 4), _ALAF, "lucas"),
+    ("intertwine", "check_intertwining",
+     lambda f, k: f(LinearSubstitution({}), Derivation.appell(), Derivation.lucas(), 0, k),
+     _ALAF, "lucas"),
 ]
 
 
