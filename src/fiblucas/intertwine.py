@@ -42,14 +42,21 @@ Bessel-type series (beta_i^(s) = (-1)^{s-i} b_i / (s-i)!):
     AF:  sum b_s z^s = sqrt z / J_1(2 sqrt z)
 
 Every alpha_n^(s) is an integer, and every route checks it: all three
-tables hold ints.  The beta and series routes supply the row beta_i^(s)
-over its lcm denominator den, as integer numerators B_i.  A cell is then
-summed in ints: the first falling factorial n^{falling a} (a = s for AL,
-s-1 for AF) comes from falling_factorial, each next one from the last by
-a factor n-a-i, and the AF lead n-2s+1 multiplies the sum.  That sum
-over den, and every recurrence step, is divided in one place,
-_exact_div; a nonzero remainder is an internal error (ArithmeticError,
-not ValueError), never a result.
+tables hold ints.  The beta and series routes work in ints from the
+first row: each row beta_i^(s) is integer numerators B_i over one
+denominator den, reduced by the row gcd.  The beta route steps the
+recurrences above over a growing denominator; the series route inverts
+the Bessel-type series over one denominator and scales b_i by
+s!/(s-i)!.  One row evaluator reads a row with Horner's rule in the
+falling-factorial basis (a = s for AL, s-1 for AF),
+
+    sum_i B_i n^{falling a+i} = n^{falling a} (B_0 + (n-a)(B_1 + (n-a-1)(B_2 + ...))),
+
+cut at i = n-a, zero for n < a, with n^{falling a} stepped along the row
+and the AF lead n-2s+1 multiplying the sum.  That sum over den, and
+every recurrence step, is divided in one place, _exact_div; a nonzero
+remainder is an internal error (ArithmeticError, not ValueError), never
+a result.  Fractions appear only in b_sequence's public values.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .derivops import Derivation
 from .exactnum import bessel_j0_series, bessel_j1_series, falling_factorial
@@ -92,8 +99,8 @@ ROUTES = (ROUTE_RECURRENCE, ROUTE_BETA, ROUTE_SERIES)
 _MEMO_SIZE = 32
 # Size limit on every table, scalar entry points included, rejected up
 # front rather than run for minutes: n <= 100 and 2s <= 100.
-# `intertwine --max 100 --route all` takes about 0.3 s for either kind
-# on CPython 3.11 and a 2-vCPU x86-64 VM.
+# `intertwine --max 100 --route all` takes about 0.12 s for either kind,
+# interpreter start-up included, on CPython 3.11 and a 2-vCPU x86-64 VM.
 _MAX_INTERTWINE_N = 100
 
 
@@ -110,10 +117,33 @@ def _check_args(kind: str, route: str = ROUTE_BETA, n: int = 0, s: int = 0) -> N
         )
 
 
+def _reduced(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with the row gcd divided out: numerators over the lcm
+    of their own reduced denominators."""
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _b_coeffs(kind: str, count: int) -> tuple[Fraction, ...]:
-    series = bessel_j0_series(count) if kind == AL else bessel_j1_series(count)
-    return series.reciprocal().coeffs
+def _b_coeffs(kind: str, count: int) -> tuple[tuple[int, ...], int]:
+    """b_s for s < count as numerators over one denominator (B_s, den):
+    the Bessel-type series inverted in ints, r_m = -(sum_{k=1..m} a_k
+    r_{m-k}) / a_0, with den grown to the lcm of the new reduced
+    denominator whenever it does not already cover it."""
+    series = (bessel_j0_series if kind == AL else bessel_j1_series)(count).coeffs
+    d = lcm(*(c.denominator for c in series))
+    a = [c.numerator * (d // c.denominator) for c in series]  # the series is a/d
+    nums, den = [1], 1  # b_0 = 1: both series start at 1, so a_0 = d
+    for m in range(1, count):
+        num = -sum(a[k] * nums[m - k] for k in range(1, m + 1))
+        g = gcd(num, a[0] * den)
+        r_den = a[0] * den // g  # b_m = (num/g) / r_den, reduced
+        new_den = lcm(den, r_den)
+        if new_den != den:
+            nums = [v * (new_den // den) for v in nums]
+        nums.append(num // g * (new_den // r_den))
+        den = new_den
+    return tuple(nums), den
 
 
 def b_sequence(kind: str, count: int) -> list[Fraction]:
@@ -122,23 +152,28 @@ def b_sequence(kind: str, count: int) -> list[Fraction]:
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_args(kind, s=count - 1)
-    return list(_b_coeffs(kind, count))
+    nums, den = _b_coeffs(kind, count)
+    return [Fraction(v, den) for v in nums]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _beta_rows(kind: str, s_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """beta_i^(s) for 0 <= i <= s <= s_max, from the beta recurrences."""
-    rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-    closure_shift = 0 if kind == AL else 1
+def _beta_rows(kind: str, s_max: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """beta_i^(s) for 0 <= i <= s <= s_max, from the beta recurrences in
+    ints: row s is (B_i, den), numerators over one denominator reduced
+    by the row gcd."""
+    rows = [((1,), 1)]
+    shift = 0 if kind == AL else 1
     for s in range(1, s_max + 1):
-        prev = rows[s - 1]
-        row = [-prev[i] / (s - i) for i in range(s)]
-        b_s = -sum(
-            (row[i] / factorial(s - i + closure_shift) for i in range(s)),
-            Fraction(0),
-        )
-        row.append(b_s)
-        rows.append(tuple(row))
+        prev, den = rows[s - 1]
+        # beta_i^(s) = -beta_i^(s-1)/(s-i) over den s!, then every term
+        # over den s! (s+shift)!, since b_s divides beta_i^(s) by (s-i+shift)!
+        f, top = factorial(s), factorial(s + shift)
+        nums = [-p * (f // (s - i)) for i, p in enumerate(prev)]
+        b_s, ff = 0, 1  # ff = (s+shift)!/(s-i+shift)!
+        for i, v in enumerate(nums):
+            b_s -= v * ff
+            ff *= s + shift - i
+        rows.append(_reduced([v * top for v in nums] + [b_s], den * f * top))
     return tuple(rows)
 
 
@@ -184,32 +219,40 @@ def _recurrence_rows(kind: str, s_max: int, n_max: int) -> tuple[tuple[int, ...]
     return tuple(rows)
 
 
-def _beta_row(kind: str, route: str, s: int, s_max: int) -> tuple[list[int], int]:
+def _beta_row(kind: str, route: str, s: int, s_max: int) -> tuple[tuple[int, ...], int]:
     """beta_i^(s), i = 0..s, by the beta or series route, as integer
     numerators over their lcm denominator: (B_i, den).  Read from the
     memo sized for s_max (its first rows do not depend on s_max)."""
     if route == ROUTE_BETA:
-        row = _beta_rows(kind, s_max)[s]
-    else:
-        b = _b_coeffs(kind, s_max + 1)
-        row = [(-1) ** (s - i) * b[i] / factorial(s - i) for i in range(s + 1)]
-    den = lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row], den
+        return _beta_rows(kind, s_max)[s]
+    b, den = _b_coeffs(kind, s_max + 1)
+    # (-1)^(s-i) b_i/(s-i)! over den s!, where s!/(s-i)! = s^{falling i}
+    nums, f = [], 1
+    for i in range(s + 1):
+        nums.append(-b[i] * f if (s - i) % 2 else b[i] * f)
+        f *= s - i
+    return _reduced(nums, den * factorial(s))
 
 
-def _alpha_from_beta(kind: str, row: tuple[list[int], int], n: int, s: int) -> int:
-    """alpha_n^(s) from the integer row (B_i, den) of _beta_row; the one
-    cell evaluator of the beta and series routes."""
+def _alpha_cells(kind: str, row: tuple[tuple[int, ...], int], s: int, columns: range) -> list[int]:
+    """alpha_n^(s) for the ascending columns n from the integer row
+    (B_i, den) of _beta_row, by Horner's rule in the falling-factorial
+    basis (see the module docstring); the one cell evaluator of the beta
+    and series routes, one exact division per cell with n >= a."""
     nums, den = row
     a = s if kind == AL else s - 1
-    f = falling_factorial(n, a)
-    total = 0
-    for i, b in enumerate(nums):
-        total += b * f
-        f *= n - a - i
-    if kind == AF:
-        total *= n - 2 * s + 1
-    return _exact_div(total, den, kind, n, s)
+    cells, f = [], None
+    for n in columns:
+        if n < a:
+            cells.append(0)
+            continue
+        f = falling_factorial(n, a) if f is None else f * n // (n - a)
+        acc = 0
+        for i in range(min(s, n - a), -1, -1):
+            acc = nums[i] + (n - a - i) * acc
+        total = f * acc if kind == AL else f * acc * (n - 2 * s + 1)
+        cells.append(_exact_div(total, den, kind, n, s))
+    return cells
 
 
 def alpha_rows(
@@ -226,8 +269,7 @@ def alpha_rows(
     columns = range(max(n_max, 2 * s_max) + 1)
     rows = [(1,) * len(columns)]
     for s in range(1, s_max + 1):
-        beta = _beta_row(kind, route, s, s_max)
-        rows.append(tuple(_alpha_from_beta(kind, beta, n, s) for n in columns))
+        rows.append(tuple(_alpha_cells(kind, _beta_row(kind, route, s, s_max), s, columns)))
     return tuple(rows)
 
 
@@ -242,7 +284,7 @@ def alpha(kind: str, n: int, s: int, route: str = ROUTE_BETA) -> int:
     _check_args(kind, route, n, s)
     if route == ROUTE_RECURRENCE:
         return _recurrence_rows(kind, s, _MAX_INTERTWINE_N)[s][n]
-    return _alpha_from_beta(kind, _beta_row(kind, route, s, s), n, s)
+    return _alpha_cells(kind, _beta_row(kind, route, s, s), s, range(n, n + 1))[0]
 
 
 class LinearSubstitution:

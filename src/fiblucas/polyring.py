@@ -330,15 +330,15 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be integers >= 0")
-        result = Poly.one()
+        result = None  # the first factor is the base itself, never one * base
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Poly.one() if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _VALID_COEFF):
@@ -554,11 +554,15 @@ def _poly_text(p: Poly, indent: str) -> str:
 def divide_by_generator(p: Poly, v: int) -> Poly | None:
     """Exact quotient p / x_v, or None if some term lacks the factor."""
     nums, den = p.numerators()
-    if not all(any(w == v for w, _ in m) for m in nums):
-        return None
-    return Poly._make(
-        {tuple((w, e - (w == v)) for w, e in m if w != v or e > 1): c for m, c in nums.items()}, den
-    )
+    out = {}
+    for m, c in nums.items():
+        for j, (w, e) in enumerate(m):
+            if w == v:
+                out[m[:j] + ((v, e - 1),) + m[j + 1 :] if e > 1 else m[:j] + m[j + 1 :]] = c
+                break
+        else:
+            return None
+    return Poly._make(out, den)
 
 
 _MAX_DET_SIZE = 8  # symbolic determinants explode past this size

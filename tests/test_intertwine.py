@@ -1,14 +1,14 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 import pytest
 
 from fiblucas import cli, intertwine
 from fiblucas.derivops import Derivation
-from fiblucas.exactnum import binomial, falling_factorial
+from fiblucas.exactnum import bessel_j0_series, bessel_j1_series, binomial, falling_factorial
 from fiblucas.intertwine import (
     AF,
     AL,
@@ -373,17 +373,22 @@ def test_table_memos_stay_bounded():
 
 
 def test_scalar_alpha_evaluates_one_cell(monkeypatch):
-    # the beta and series routes evaluate alpha_n^(s) alone, not a table
+    # the beta and series routes evaluate alpha_n^(s) alone, not a table:
+    # one exact division, and every cell takes one
     expected = alpha_rows(AF, 6, 80, ROUTE_RECURRENCE)[6][80]
     calls = []
-    cell = intertwine._alpha_from_beta
+    exact_div = intertwine._exact_div
     monkeypatch.setattr(
-        intertwine, "_alpha_from_beta", lambda *args: calls.append(args) or cell(*args)
+        intertwine, "_exact_div", lambda *args: calls.append(args[3:]) or exact_div(*args)
     )
     for route in (ROUTE_BETA, ROUTE_SERIES):
         calls.clear()
         assert alpha(AF, 80, 6, route) == expected
-        assert len(calls) == 1, route
+        assert calls == [(80, 6)], route
+        calls.clear()
+        alpha_rows(AF, 6, 80, route)
+        # AF cells below n = s-1 are zero by the falling factorial
+        assert calls == [(n, s) for s in range(1, 7) for n in range(s - 1, 81)], route
 
 
 def test_alpha_boundary_condition():
@@ -448,14 +453,41 @@ def test_alpha_argument_validation():
             alpha_rows(AL, 2, -1, route)
 
 
-# ---- the integer kernel against the Fraction reference -----------------
+# ---- the integer rows against the Fraction reference -------------------
+#
+# The beta and series rows as they were built before they were integer:
+# the beta recurrence and the series reciprocal in Fraction arithmetic,
+# and each cell as the Fraction sum over falling factorials.  Kept as the
+# reference the integer rows and cells are checked against.
+
+
+def _fraction_beta_rows(kind, s_max):
+    """beta_i^(s) for 0 <= i <= s <= s_max, from the beta recurrences."""
+    rows = [(Fraction(1),)]
+    closure_shift = 0 if kind == AL else 1
+    for s in range(1, s_max + 1):
+        prev = rows[s - 1]
+        row = [-prev[i] / (s - i) for i in range(s)]
+        b_s = -sum(
+            (row[i] / factorial(s - i + closure_shift) for i in range(s)),
+            Fraction(0),
+        )
+        row.append(b_s)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _fraction_b(kind, count):
+    """b_s for s < count: TruncatedSeries.reciprocal of the Bessel-type series."""
+    series = bessel_j0_series(count) if kind == AL else bessel_j1_series(count)
+    return series.reciprocal().coeffs
 
 
 def _fraction_rows(kind, route, s_max):
-    """beta_i^(s) as Fractions for s = 0..s_max, read from the route's memo."""
+    """beta_i^(s) as Fractions for s = 0..s_max by the route's reference."""
     if route == ROUTE_BETA:
-        return _beta_rows(kind, s_max)
-    b = _b_coeffs(kind, s_max + 1)
+        return _fraction_beta_rows(kind, s_max)
+    b = _fraction_b(kind, s_max + 1)
     return tuple(
         tuple(Fraction((-1) ** (s - i)) * b[i] / factorial(s - i) for i in range(s + 1))
         for s in range(s_max + 1)
@@ -464,13 +496,33 @@ def _fraction_rows(kind, route, s_max):
 
 def _fraction_alpha(kind, beta_row, n, s):
     """alpha_n^(s) as the Fraction sum of beta_i^(s) n^{falling a+i}: the
-    evaluation the integer kernel replaced, kept as its reference."""
+    evaluation the Horner row evaluator replaced, kept as its reference."""
     shift, lead = (0, 1) if kind == AL else (-1, n - 2 * s + 1)
     total = sum(
         (beta_row[i] * falling_factorial(n, s + shift + i) for i in range(s + 1)),
         Fraction(0),
     )
     return lead * total
+
+
+def _as_fractions(row):
+    """An integer row (B_i, den), checked reduced, as its Fractions."""
+    nums, den = row
+    assert all(type(v) is int for v in (*nums, den)) and den > 0
+    assert gcd(den, *nums) == 1
+    return tuple(Fraction(v, den) for v in nums)
+
+
+@pytest.mark.parametrize("kind", [AL, AF])
+def test_integer_rows_match_fraction_rows(kind):
+    # every row s <= 50 the size limit allows, by both routes, and the b_s
+    top = _MAX_INTERTWINE_N // 2
+    assert _as_fractions(_b_coeffs(kind, top + 1)) == _fraction_b(kind, top + 1)
+    for route in (ROUTE_BETA, ROUTE_SERIES):
+        reference = _fraction_rows(kind, route, top)
+        for s in range(top + 1):
+            row = intertwine._beta_row(kind, route, s, top)
+            assert _as_fractions(row) == reference[s], (kind, route, s)
 
 
 @pytest.mark.parametrize("route", [ROUTE_BETA, ROUTE_SERIES])
@@ -483,6 +535,27 @@ def test_integer_tables_match_fraction_reference(kind, route):
     for s in range(1, top // 2 + 1):
         for n in range(top + 1):
             assert table[s][n] == _fraction_alpha(kind, beta[s], n, s), (kind, route, s, n)
+
+
+def test_beta_and_series_routes_do_no_fraction_arithmetic(monkeypatch):
+    # cold memos, and every Fraction operator refused: the integer rows
+    # are built and evaluated without one
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic on an integer route")
+
+    for memo in (_beta_rows, _b_coeffs):
+        memo.cache_clear()
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refused)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refused)
+    monkeypatch.setattr(Fraction, "__neg__", refused)
+    try:
+        for kind in (AL, AF):
+            for route in (ROUTE_BETA, ROUTE_SERIES):
+                assert alpha_rows(kind, 23, 48, route)[23][48] == alpha(kind, 48, 23, route)
+    finally:
+        for memo in (_beta_rows, _b_coeffs):
+            memo.cache_clear()
 
 
 def test_scalar_alpha_matches_fraction_reference():
@@ -500,14 +573,18 @@ def test_scalar_alpha_matches_fraction_reference():
         assert alpha(kind, n, s, route) == expected, (kind, route, s, n)
 
 
-def test_one_falling_factorial_per_cell(monkeypatch):
+def test_one_falling_factorial_per_row(monkeypatch):
+    # n^{falling a} starts once per row and then steps along it
     calls = []
     monkeypatch.setattr(
         intertwine, "falling_factorial", lambda n, a: calls.append(n) or falling_factorial(n, a)
     )
-    table = alpha_rows(AL, 23, 48, ROUTE_BETA)
-    assert 0 < len(calls) <= 23 * 49  # rows s = 1..23, columns n = 0..48
-    assert table == alpha_rows(AL, 23, 48, ROUTE_RECURRENCE)
+    for kind in (AL, AF):
+        for route in (ROUTE_BETA, ROUTE_SERIES):
+            calls.clear()
+            table = alpha_rows(kind, 23, 48, route)
+            assert len(calls) == 23, (kind, route)  # rows s = 1..23
+            assert table == alpha_rows(kind, 23, 48, ROUTE_RECURRENCE)
 
 
 def _perturbed(memo, edit):
@@ -522,9 +599,11 @@ def _perturbed(memo, edit):
 
 
 def _off_integer(rows):
-    # beta_0^(2) + 1/p, for a prime p above every n in the tables, makes
-    # row 2 non-integral wherever the added term is nonzero
-    rows[2] = (rows[2][0] + Fraction(1, 1000003), *rows[2][1:])
+    # beta_0^(2) + 1/(p den), for a prime p above every n in the tables,
+    # makes row 2 non-integral wherever the added term is nonzero
+    p = 1000003
+    nums, den = rows[2]
+    rows[2] = ((nums[0] * p + 1, *(v * p for v in nums[1:])), den * p)
 
 
 def test_non_integer_cell_is_an_internal_error(monkeypatch, capsys):
@@ -547,7 +626,8 @@ def test_route_all_reports_a_perturbed_route(monkeypatch, capsys, kind):
     # one more on the last b_s moves only the series table's last row,
     # by an integer, so psi (beta route) still intertwines
     def last_plus_one(b):
-        b[-1] += 1
+        nums, den = b
+        b[0] = (*nums[:-1], nums[-1] + den)
 
     monkeypatch.setattr(intertwine, "_b_coeffs", _perturbed(_b_coeffs, last_plus_one))
     code = cli.main(["intertwine", "--kind", kind, "--max", "10", "--route", "all"])

@@ -215,6 +215,60 @@ def test_divide_by_generator_requires_divisibility():
     assert divide_by_generator(g(0) + g(1), 0) is None
 
 
+def _two_walk_divide(p, v):
+    """p / x_v as a divisibility walk over every term, then a second walk
+    that rebuilds every monomial: the reference for the one-walk division."""
+    nums, den = p.numerators()
+    if not all(any(w == v for w, _ in m) for m in nums):
+        return None
+    return Poly._make(
+        {tuple((w, e - (w == v)) for w, e in m if w != v or e > 1): c for m, c in nums.items()}, den
+    )
+
+
+def test_divide_by_generator_matches_two_walk_reference():
+    assert divide_by_generator(Poly.zero(), 3) == Poly.zero()
+    assert divide_by_generator(Fraction(2, 3) * g(3), 3) == Fraction(2, 3)  # x_3 dropped
+    assert divide_by_generator(g(1) * g(3) ** 4 * g(5), 3) == g(1) * g(3) ** 3 * g(5)
+    assert divide_by_generator(g(3) * g(4) + g(4) ** 2, 3) is None  # a term without x_3
+    rng = random.Random(554)
+    outcomes = set()
+    for _ in range(300):
+        v = rng.randint(0, 3)
+        p = random_poly(rng, max_var=3, allow_x=True)
+        for q in (p, p * g(v), p * g(v) ** rng.randint(2, 3)):
+            got = divide_by_generator(q, v)
+            assert got == _two_walk_divide(q, v), (q, v)
+            if got is None:
+                outcomes.add("missing")
+            else:
+                assert got * g(v) == q
+                _assert_primitive(got)
+                outcomes.add("zero" if q.is_zero() else "divided")
+    assert outcomes == {"missing", "zero", "divided"}
+
+
+def test_pow_equals_repeated_products(monkeypatch):
+    rng = random.Random(330)
+    for _ in range(60):
+        p = random_poly(rng, max_var=3, allow_x=True)
+        product = Poly.one()
+        for k in range(7):
+            assert p ** k == product, (p, k)
+            product = product * p
+    # square-and-multiply from the base itself: p ** 1 takes no product
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    p = g(0) + 2 * g(1)
+    counts = []
+    for k in range(1, 7):
+        products.clear()
+        p ** k
+        counts.append(len(products))
+    assert counts == [0, 1, 2, 2, 3, 3]
+
+
 def test_det_guardrail_and_shape_errors():
     one = Poly.one()
     with pytest.raises(ValueError, match="guardrail: size 9 > 8"):
