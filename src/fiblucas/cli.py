@@ -11,6 +11,7 @@ through the one writer _write, and picks the exit code: 0 verified/success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -188,6 +189,8 @@ def _write(text: str, stream) -> OSError | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # the program: import-time objects live until exit, so the collector skips them
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

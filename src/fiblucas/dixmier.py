@@ -47,7 +47,7 @@ from math import factorial, gcd, lcm
 from .derivops import Derivation
 from .exactnum import binomial
 from .families import FIBONACCI, LUCAS, _check_kind
-from .polyring import Poly, _check_index, divide_by_generator
+from .polyring import Poly, _check_index, divide_by_generator, mono_mul, mul_into
 
 __all__ = [
     "closed_power_on_generator",
@@ -80,7 +80,8 @@ def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     generator: D(h) = c * x_j != 0 and D^2(h) = 0.  Returned over a
     minimal power of x_j.  The sum
     x_j^kmax sigma = sum_k D^k(x_n) (-h)^k x_j^(kmax-k) / (k! c^k)
-    is built from Poly products; x_j is then divided out while it divides.
+    is accumulated into one dict over one denominator; x_j is then divided
+    out once, to the least power it has in any term (at most kmax).
     """
     image = d(h)
     if image.is_zero() or not d(image).is_zero():
@@ -97,16 +98,22 @@ def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     kmax = len(powers) - 2  # last nonzero index
 
     neg_h = -h
-    total, weight = Poly.zero(), Poly.one()  # weight = (-h)^k / (k! c^k)
+    parts, weight = [], Poly.one()  # weight = (-h)^k / (k! c^k)
     for k in range(kmax + 1):
         if k:
             weight = weight * neg_h / (k * c)
-        total = total + powers[k] * (weight * Poly.term(1, {j: kmax - k}))
+        (wn, wd), (pn, pd) = weight.numerators(), powers[k].numerators()
+        shift = ((j, kmax - k),) if k < kmax else ()
+        parts.append((pn, [(mono_mul(m, shift), a) for m, a in wn.items()], pd * wd))
+    den = lcm(*(part_den for _, _, part_den in parts))
+    total = {}
+    for pn, wterms, part_den in parts:
+        scale = den // part_den
+        mul_into(total, pn.items(), [(m, a * scale) for m, a in wterms])
 
-    power = kmax
-    while power and (reduced := divide_by_generator(total, j)) is not None:
-        total, power = reduced, power - 1
-    return LocalizedPoly(total, j, power)
+    strip = min([kmax, *(next((e for v, e in m if v == j), 0) for m in total)])
+    total = Poly._make(total, den)
+    return LocalizedPoly(divide_by_generator(total, j, strip) if strip else total, j, kmax - strip)
 
 
 def _closed_power_terms(kind: str, n: int, k: int) -> list[int]:

@@ -468,7 +468,8 @@ class Poly:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Poly":
-        """One pass: each name parsed once, terms merged over their lcm denominator."""
+        """One pass: each name parsed and each (name, exponent) member checked once, terms
+        merged over their lcm denominator."""
         if type(doc) is not dict and not isinstance(doc, Mapping):
             raise ValueError("polynomial JSON must be an object")
         if "terms" not in doc or not isinstance(doc["terms"], list):
@@ -476,6 +477,7 @@ class Poly:
         if not isinstance(doc.get("vars", []), list):
             raise ValueError('"vars" must be an array of variable names')
         ids = {name: _parse_var(name) for name in doc.get("vars", [])}  # validates
+        members: dict[tuple[str, int], tuple[int, int]] = {}  # (name, e): (id, e), checked once
         rows: list[tuple[Mono, int, int]] = []
         for t in doc["terms"]:
             if type(t) is not dict and not isinstance(t, Mapping) or "coeff" not in t:
@@ -500,11 +502,16 @@ class Poly:
                 raise ValueError("exps must be an object")
             mono = []
             for name, e in exps.items():
-                if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
-                    raise ValueError(f"bad exponent {e!r} for {name!r}")
-                if name not in ids:
-                    ids[name] = _parse_var(name)
-                mono.append((ids[name], e))
+                # True and 1.0 equal 1, so only a plain int finds its checked member
+                if type(e) is not int or (member := members.get((name, e))) is None:
+                    if not isinstance(e, int) or isinstance(e, bool) or e <= 0:
+                        raise ValueError(f"bad exponent {e!r} for {name!r}")
+                    if name not in ids:
+                        ids[name] = _parse_var(name)
+                    member = (ids[name], e)
+                    if type(e) is int:
+                        members[name, e] = member
+                mono.append(member)
             mono.sort()  # distinct ids, as names and ids correspond one to one
             if mono and mono[0][0] == X:  # x ranks last
                 mono.append(mono.pop(0))
@@ -551,14 +558,14 @@ def _poly_text(p: Poly, indent: str) -> str:
     return _block(['"vars": ' + names, '"terms": ' + _block(rows, i1, "[]")], indent, "{}")
 
 
-def divide_by_generator(p: Poly, v: int) -> Poly | None:
-    """Exact quotient p / x_v, or None if some term lacks the factor."""
+def divide_by_generator(p: Poly, v: int, k: int = 1) -> Poly | None:
+    """Exact quotient p / x_v^k (k >= 1), or None if some term lacks the factor."""
     nums, den = p.numerators()
     out = {}
     for m, c in nums.items():
         for j, (w, e) in enumerate(m):
-            if w == v:
-                out[m[:j] + ((v, e - 1),) + m[j + 1 :] if e > 1 else m[:j] + m[j + 1 :]] = c
+            if w == v and e >= k:
+                out[m[:j] + ((v, e - k),) + m[j + 1 :] if e > k else m[:j] + m[j + 1 :]] = c
                 break
         else:
             return None

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -448,6 +449,21 @@ def _cli_erring_to(stderr, code, *args, stdout=subprocess.PIPE):
     res = subprocess.run([sys.executable, *argv], stdout=stdout, stderr=stderr,
                          env=env, text=True, timeout=120)
     return res.returncode, res.stdout
+
+
+# the program's entry: argv from sys.argv, demo's handler replaced by one
+# that reports whether the collector was frozen before it ran
+_FREEZE_PROBE = ("import gc, sys; from fiblucas import cli; "
+                 "cli._DISPATCH['demo'] = lambda args: (str(gc.get_freeze_count() > 0), True); "
+                 "sys.argv = ['fiblucas', 'demo', 'discriminant']; sys.exit(cli.main())")
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys):
+    assert _cli_erring_to(subprocess.PIPE, _FREEZE_PROBE) == (0, "True\n")
+    # with an argv list, as a long-lived caller passes, nothing moves to the permanent generation
+    before = gc.get_freeze_count()
+    assert run(capsys, "scan", "--family", "fib", "--max", "4")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])

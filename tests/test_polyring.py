@@ -248,6 +248,25 @@ def test_divide_by_generator_matches_two_walk_reference():
     assert outcomes == {"missing", "zero", "divided"}
 
 
+def test_divide_by_generator_to_a_power_is_repeated_division():
+    rng = random.Random(5541)
+    outcomes = set()
+    for _ in range(300):
+        v, k = rng.randint(0, 3), rng.randint(1, 4)
+        p = random_poly(rng, max_var=3, allow_x=True)
+        for q in (p, p * g(v) ** rng.randint(1, 5)):
+            want = q
+            for _ in range(k):
+                want = want if want is None else divide_by_generator(want, v)
+            got = divide_by_generator(q, v, k)
+            assert got == want, (q, v, k)
+            if got is not None:
+                assert got * g(v) ** k == q
+                _assert_primitive(got)
+            outcomes.add("missing" if got is None else "zero" if q.is_zero() else "divided")
+    assert outcomes == {"missing", "zero", "divided"}
+
+
 def test_pow_equals_repeated_products(monkeypatch):
     rng = random.Random(330)
     for _ in range(60):
@@ -708,6 +727,9 @@ def test_from_json_matches_reference_reader():
         {"terms": [{"coeff": "1", "exps": []}]},
         {"terms": ["x1"]},
         {"terms": [], "vars": [["x1"]]},
+        # True and 1.0 equal 1, so a checked member must not let them through
+        {"terms": [{"coeff": "1", "exps": {"x1": 1}}, {"coeff": "2", "exps": {"x1": True}}]},
+        {"terms": [{"coeff": "1", "exps": {"x1": 1}}, {"coeff": "2", "exps": {"x1": 1.0}}]},
     ]
     limit = sys.get_int_max_str_digits()
     errors = 0
