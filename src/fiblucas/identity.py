@@ -22,7 +22,8 @@ from .families import FIBONACCI, LUCAS, _check_kind, family_values
 from .families import family_poly  # noqa: F401  perfbench/launcher.py wraps it here by name
 from .intertwine import AL, psi
 from .polyring import (
-    _MAX_INDEX, Mono, Poly, X, _check_index, det, divide_by_generator, json_text,
+    _MAX_INDEX, Mono, Poly, X, _check_index, _digit_limit_error, det, divide_by_generator,
+    json_text,
 )
 
 __all__ = [
@@ -77,13 +78,13 @@ def _subst_bounds(family: str, groups) -> tuple[set[int], int, int, dict[Mono, t
         vanishes = False
         for v, e in m:
             gens.add(v)
-            if v > shift:
+            if v == X:  # X is above every generator index
+                degree += e
+            elif v > shift:
                 if v > _MAX_INDEX:  # only the unchecked Poly.from_terms builds one
                     _check_index(v)
                 degree += e * (v - shift)
                 log += e * bits[v]
-            elif v == X:
-                degree += e
             elif v < shift:  # the Fibonacci x_0: F_0 = 0
                 vanishes = True
         return degree, log, vanishes
@@ -338,10 +339,13 @@ def discriminant_demo() -> dict:
 
 
 def _fraction_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    try:
+        if c.denominator == 1:
+            return str(c.numerator)
+        sign = "-" if c < 0 else ""
+        return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        raise _digit_limit_error("a coefficient") from None
 
 
 def poly_to_latex(p: Poly, family: str) -> str:

@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Variables are the generators x_0, x_1, ..., x_1000 (identified by their
-index) plus one distinguished univariate indeterminate ``x`` (id
-``X``).  _MAX_INDEX is the one limit on generator indices in the
-package; _check_index enforces it wherever a generator is named.
+index) plus one distinguished univariate indeterminate ``x``, whose id,
+X = 2**62, is above every index: plain int order ranks x last, and a table
+indexed by generator raises if read at X.  _MAX_INDEX is the one limit on
+generator indices; _check_index enforces it wherever a generator is named.
 
 A polynomial is nonzero integer numerators per monomial over one
 positive denominator, kept primitive (the gcd of all of them is 1; zero
@@ -18,10 +19,11 @@ exponents variable by variable in the order x_0, x_1, ..., x (the
 distinguished x always last), larger exponent first.
 
 JSON has one reader, Poly.from_json, one pass into integer numerators
-(canonical "p" and "p/q" coefficients read by int(), others by
-Fraction()), and one writer, json_text, equal to json.dumps(doc, indent=2).
-json_text writes a Poly anywhere in a document as its to_json(), straight from the
-numerators; both read one term walk, Poly._json_terms (order, "p/q" text, digit limit).
+(canonical "p" and "p/q" coefficients read by int(), others by Fraction() unless
+a decimal exponent passes the digit limit), and one writer, json_text, equal to
+json.dumps(doc, indent=2).  json_text writes a Poly anywhere in a document as its
+to_json(), straight from the numerators; both read one term walk, Poly._json_terms
+(order, "p/q" text, digit limit).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 __all__ = [
     "X",
@@ -45,7 +47,7 @@ __all__ = [
     "det",
 ]
 
-X = -1  # variable id of the distinguished indeterminate x
+X = 1 << 62  # variable id of the distinguished indeterminate x, above every index
 
 Mono = tuple[tuple[int, int], ...]
 
@@ -56,6 +58,7 @@ _VALID_COEFF = (int, Fraction)
 _MAX_INDEX = 1000
 
 _CANONICAL_COEFF = re.compile("(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch  # "p" or "p/q", q > 0
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z").search  # a decimal exponent, as in Fraction()
 
 
 def var_name(v: int) -> str:
@@ -69,6 +72,22 @@ def clip(text, fmt=repr) -> str:
     return fmt(text)
 
 
+def _digit_limit_error(subject: str) -> ValueError:
+    """The error for a coefficient past the digit limit that str() and int() keep."""
+    return ValueError(f"{subject} has more than {sys.get_int_max_str_digits()} decimal digits, "
+                      "the limit on JSON coefficients")
+
+
+def _past_digit_limit(c: str) -> bool:
+    """Whether reading c takes an int past the digit limit (none at 0): a longer run of
+    digits, or a decimal exponent above the limit, as Fraction() builds 10**exponent."""
+    limit = sys.get_int_max_str_digits()
+    exp = _EXPONENT(c)
+    digits = exp[1].replace("_", "") if exp else "0"
+    return bool(limit) and (re.search(rf"\d{{{limit + 1}}}", c) is not None
+                            or len(digits) > limit or int(digits) > limit)
+
+
 def _past_limit(name: str) -> ValueError:
     return ValueError(f"generator {clip(name, str)} is past the index limit {_MAX_INDEX}")
 
@@ -79,7 +98,7 @@ def _check_index(v: int) -> int:
     if v < 0:
         raise ValueError("generator index must be >= 0")
     if v > _MAX_INDEX:
-        raise _past_limit(var_name(v) if v < 10**39 else f"x<{v.bit_length()}-bit index>")
+        raise _past_limit(f"x{v}" if v < 10**39 else f"x<{v.bit_length()}-bit index>")
     return v
 
 
@@ -98,7 +117,7 @@ def _parse_var(name: str) -> int:
 def mono_from_exps(exps: Mapping[int, int]) -> Mono:
     items = []
     for v, e in exps.items():
-        if not isinstance(v, int) or v < X:
+        if not isinstance(v, int) or v < 0:
             raise ValueError(f"invalid variable id: {v!r}")
         if v != X:
             _check_index(v)
@@ -108,7 +127,7 @@ def mono_from_exps(exps: Mapping[int, int]) -> Mono:
             raise ValueError(f"negative exponent for {var_name(v)}")
         if e > 0:
             items.append((v, e))
-    items.sort(key=lambda ve: (ve[0] == X, ve[0]))  # x ranks after every generator
+    items.sort()
     return tuple(items)
 
 
@@ -123,7 +142,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         if va == vb:
             out.append((va, ea + eb))
             i, j = i + 1, j + 1
-        elif vb == X or (va != X and va < vb):  # x ranks after every generator
+        elif va < vb:
             out.append(a[i])
             i += 1
         else:
@@ -158,11 +177,11 @@ def mul_into(acc: dict, left: Iterable, right: Collection) -> dict:
 
 
 def _mono_sort_key(m: Mono) -> tuple:
-    """(-degree, v0, -e0, v1, -e1, ...), x ranking after every generator."""
+    """(-degree, v0, -e0, v1, -e1, ...)."""
     key = [0]
     for v, e in m:
         key[0] -= e
-        key.append(v if v != X else inf)  # inf: above every int
+        key.append(v)
         key.append(-e)
     return tuple(key)
 
@@ -170,12 +189,11 @@ def _mono_sort_key(m: Mono) -> tuple:
 class Poly:
     """Immutable sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("_nums", "_den", "_hash")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self) -> None:
         self._nums: dict[Mono, int] = {}
         self._den = 1
-        self._hash: int | None = None
 
     # ---- construction -------------------------------------------------
 
@@ -190,7 +208,6 @@ class Poly:
         p = cls.__new__(cls)
         p._nums = nums
         p._den = den
-        p._hash = None
         return p
 
     @classmethod
@@ -348,9 +365,7 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._nums.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -440,7 +455,7 @@ class Poly:
         """The JSON document's variable names, and its terms in the canonical order with
         "p" or "p/q" coefficients in lowest terms: the one walk to_json and json_text read."""
         nums, den = self._nums, self._den
-        names = [var_name(v) for v in sorted(self.variables(), key=lambda v: (v == X, v))]
+        names = [var_name(v) for v in sorted(self.variables())]
         try:
             order = sorted(nums, key=_mono_sort_key)
             if den == 1:
@@ -454,10 +469,7 @@ class Poly:
         except ValueError:
             # str() refuses ints longer than the interpreter's digit
             # limit, and Fraction() would refuse to read them back
-            raise ValueError(
-                f"a coefficient has more than {sys.get_int_max_str_digits()} "
-                "decimal digits, the limit on JSON coefficients"
-            ) from None
+            raise _digit_limit_error("a coefficient") from None
 
     def to_json(self) -> dict:
         """Canonical JSON document: variable names, ordered terms,
@@ -485,17 +497,14 @@ class Poly:
             c = t["coeff"]
             if not isinstance(c, str):
                 raise ValueError(f"coefficient must be a string, got {c!r}")
+            pq = _CANONICAL_COEFF(c)
+            if not pq and _past_digit_limit(c):  # checked before Fraction() reads it
+                raise _digit_limit_error(f"coefficient {clip(c)}")
             try:
-                pq = _CANONICAL_COEFF(c)
                 p, q = (int(pq[1]), int(pq[2] or 1)) if pq else Fraction(c).as_integer_ratio()
             except (ValueError, ZeroDivisionError) as exc:
-                # name the digit limit if past it
-                limit = sys.get_int_max_str_digits()
-                if limit and re.search(rf"\d{{{limit + 1}}}", c):
-                    raise ValueError(
-                        f"coefficient {clip(c)} has more than {limit} decimal digits, "
-                        "the limit on JSON coefficients"
-                    ) from None
+                if pq:  # int() refuses a canonical coefficient only past the digit limit
+                    raise _digit_limit_error(f"coefficient {clip(c)}") from None
                 raise ValueError(f"bad coefficient {clip(c)}") from exc
             exps = t.get("exps", {})
             if type(exps) is not dict and not isinstance(exps, Mapping):
@@ -513,8 +522,6 @@ class Poly:
                         members[name, e] = member
                 mono.append(member)
             mono.sort()  # distinct ids, as names and ids correspond one to one
-            if mono and mono[0][0] == X:  # x ranks last
-                mono.append(mono.pop(0))
             rows.append((tuple(mono), p, q))
         den = lcm(*(q for _, _, q in rows))
         return cls._make(_merge({}, ((m, p * (den // q)) for m, p, q in rows)), den)

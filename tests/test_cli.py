@@ -291,6 +291,45 @@ def test_coefficient_string_over_digit_limit_is_shown_bounded(tmp_path, capsys):
     assert err == f"error: bad coefficient {'x' * 40!r}... (50 characters)\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_identity_result_over_digit_limit_names_the_limit_in_both_formats(tmp_path, capsys, fmt):
+    # 10^4200 F_400 F_500 has coefficients of more than 4300 digits: the input is
+    # read, the result cannot be written, and both writers name the limit alike
+    path = tmp_path / "big.json"
+    doc = {"terms": [{"coeff": "1e4200", "exps": {"x500": 1, "x400": 1}}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, out, err = run(capsys, "identity", "--family", "fib", "--input", str(path),
+                             "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a coefficient has more than 4300 decimal digits, the limit on JSON coefficients\n"
+    )
+
+
+def test_coefficient_exponent_past_digit_limit_exits_two_at_once(tmp_path):
+    # Fraction() builds 10**999999999 for "1e-999999999", which no bound stops;
+    # the reader refuses the exponent first
+    path = tmp_path / "tiny.json"
+    path.write_text('{"terms": [{"coeff": "1e-999999999", "exps": {"x3": 1}}]}', encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = perf_counter()
+    args = ["identity", "--family", "fib", "--input", str(path)]
+    res = subprocess.run([sys.executable, "-m", "fiblucas", *args],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert perf_counter() - t0 < 10
+    limit = sys.get_int_max_str_digits()
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", (
+        f"error: coefficient '1e-999999999' has more than {limit} decimal digits, "
+        "the limit on JSON coefficients\n"
+    ))
+
+
 def test_json_number_over_digit_limit_names_the_limit(tmp_path, capsys):
     # json.loads refuses an integer literal past the digit limit with the
     # interpreter's text; the error is ours and names the limit

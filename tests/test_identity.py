@@ -354,7 +354,7 @@ def test_phi_substituted_degree_limit(family):
 @pytest.mark.parametrize("family, v, want", [
     ("fibonacci", 0, 0), ("fibonacci", 1, 1), ("lucas", 0, 1),
     ("fibonacci", 5, None), ("lucas", 5, None), ("fibonacci", X, None), ("lucas", X, None),
-])
+], ids=lambda a: "x" if a == X else None)
 def test_phi_huge_exponent_checks_degree_before_any_shift(family, v, want):
     # F_0 = 0 and F_1 = L_0 = 1 keep degree 0 under any power; other images
     # are refused on their degree, and no coefficient is shifted for them

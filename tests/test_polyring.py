@@ -21,6 +21,7 @@ from fiblucas.polyring import (
     X,
     _mono_sort_key,
     _parse_var,
+    clip,
     det,
     divide_by_generator,
     json_text,
@@ -378,7 +379,7 @@ def test_coefficient_lookup_and_degrees():
 
 
 def test_mono_mul_matches_merged_exponents():
-    # x (id X = -1) sorts last in a canonical monomial, after every generator
+    # x (id X, above every generator index) sorts last in a canonical monomial
     rng = random.Random(13)
     fixed = [(), ((X, 2),), ((0, 1),), ((0, 1), (3, 2), (X, 1))]
     monos = fixed + [
@@ -416,11 +417,24 @@ def test_inexact_coefficients_and_exponents_rejected(build, error):
         ({"x1": 1}, "invalid variable id: 'x1'"),
         ({3: -1}, "negative exponent for x3"),
         ({X: -2}, "negative exponent for x"),
+        ({-1: 1}, "invalid variable id: -1"),
     ],
 )
 def test_mono_from_exps_rejects_bad_ids_and_negative_exponents(exps, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         mono_from_exps(exps)
+
+
+def test_x_has_an_id_above_every_generator_that_no_table_accepts():
+    # plain int order ranks x last, and X is refused wherever a generator index is read
+    assert X > _MAX_INDEX
+    assert mono_from_exps({X: 1, 7: 2, 3: 1}) == ((3, 1), (7, 2), (X, 1))
+    assert [var_name(v) for v in sorted((g(9) * Poly.x() * g(2)).variables())] == ["x2", "x9", "x"]
+    with pytest.raises(ValueError, match=f"^generator x{X} is past the index limit {_MAX_INDEX}$"):
+        Poly.gen(X)
+    for kind in (FIBONACCI, LUCAS):
+        with pytest.raises(ValueError, match="is past the index limit"):
+            family_values(kind, 0, [X])
 
 
 def test_division_by_zero_and_foreign_operands():
@@ -670,7 +684,7 @@ def _reference_mono_mul(a, b):
     exps: dict[int, int] = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    # plain tuple order puts X = -1 first; the canonical order puts it last
+    # the canonical order puts x last, whatever its id
     items = sorted(exps.items())
     if items[0][0] == X:
         items.append(items.pop(0))
@@ -748,6 +762,25 @@ def test_from_json_matches_reference_reader():
         f"coefficient {'7' * 40!r}... (4301 characters) has more than {limit} "
         "decimal digits, the limit on JSON coefficients",
     )
+    # a decimal exponent past the limit is refused before Fraction() builds 10**exponent,
+    # whose digits nothing bounds; one at the limit, and short ones, are read
+    def coeff(c):
+        return _outcome(Poly.from_json, {"terms": [{"coeff": c}]})
+
+    t0 = perf_counter()
+    for c in ("1e-999999999", f"1e{limit + 1}", f"-2.5E-{limit + 1} ", "1e1_000_000",
+              "1e" + "0" * 5000):
+        assert coeff(c) == (ValueError, f"coefficient {clip(c)} has more than {limit} "
+                            "decimal digits, the limit on JSON coefficients"), c
+    assert perf_counter() - t0 < 1.0
+    assert coeff("1e3") == 1000 and coeff("1.5") == Fraction(3, 2)
+    assert coeff(f"1e-{limit}") == Fraction(1, 10**limit)
+    if limit:  # with the limit off (0), any exponent is read, as before
+        sys.set_int_max_str_digits(0)
+        try:
+            assert coeff(f"1e-{limit + 1}") == Fraction(1, 10 ** (limit + 1))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _random_json_doc(rng, depth=0):
