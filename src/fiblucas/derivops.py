@@ -30,9 +30,14 @@ sum down one parity, so D of a form is a walk down each parity of u:
     fibonacci:  (u-1) S_u at x_{u-1},  S_u = a_u - S_{u+2}
     appell:     u a_u at x_{u-1}, one step per v in the form
 
-Every index, then the key size, is checked before any key is built; the
-walk steps (one per u walked, one per Appell pair) of the call, or of all
-of power's applications, once the forms are grouped, before any walk.
+A call, power and the Dixmier map's powers D^k(x_n) all run one chain,
+Derivation._chain, on one layout: images are linear and lower every index,
+so the fields and width that hold p hold every D^k(p).  p is read once, for
+its top and lowest index and its degree; every index, then the key size, is
+checked before any key is built, and p's keys are packed once.  Each step
+decodes its keys to monomials and hands both to the next.  The walk steps
+(one per u walked, one per Appell pair) of each application, or with power
+of all of them so far, are checked once the forms are grouped, before any walk.
 
 Closed forms for the iterated images D^k(x_n) live in dixmier, next
 to the Cayley elements built from them.
@@ -40,7 +45,9 @@ to the Cayley elements built from them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 
 from .families import APPELL, FIBONACCI, LUCAS, _check_kind, derivative_terms
 from .polyring import Poly, X, _check_index
@@ -51,8 +58,8 @@ __all__ = [
     "kernel_member",
 ]
 
-# Work limit on one call of `__call__`, or on all the applications of `power`,
-# in walk steps (see the module docstring).  At the limit, on CPython 3.11 and a
+# Work limit on one call of `__call__`, on each power D^k(x_n) of the Dixmier map,
+# or on all the applications of `power`, in walk steps (see the module docstring).  At the limit, on CPython 3.11 and a
 # 2-vCPU x86-64 VM, Lucas or Fibonacci D on the 499 terms x_i x1000 (2002-bit
 # keys) takes 2.1-2.2 s and 140 MiB peak RSS; times x1000^(2^15) (16 016-bit
 # keys), 10.5-11.1 s and 580 MiB.
@@ -150,21 +157,39 @@ class Derivation:
 
     def __call__(self, p: Poly) -> Poly:
         """Apply the Leibniz-linear extension to a generator polynomial, form by form."""
-        return self._apply(p, 0)[0]
+        return next(self._chain(p))[0]
 
-    def _apply(self, p: Poly, spent: int) -> tuple[Poly, int]:
-        """(D(p), spent plus the walk steps of D(p)); see _MAX_WALK_STEPS."""
-        variables = p.variables()
-        if X in variables:
-            raise ValueError("derivations act on generator polynomials; found x")
+    def _chain(self, p: Poly, cumulative: bool = False) -> Iterator[tuple[Poly, int]]:
+        """D(p), D^2(p), ... to the first zero, each with its walk steps, on one key
+        layout: images are linear and lower every index, so the fields and widths
+        that hold p hold every power.  p is read once, for its top and lowest index
+        and its degree; each power's monomials and keys feed the next application.
+        Each application is held to _MAX_WALK_STEPS, or with cumulative all of them."""
         nums, den = p.numerators()
-        bits = p.degree().bit_length()
+        top, low, degree = -1, 0, -1  # low stays 0 unless an index is negative
+        for m in nums:
+            if m:
+                if m[-1][0] > top:
+                    top = m[-1][0]
+                if m[0][0] < low:
+                    low = m[0][0]
+                e = 0
+                for _, f in m:
+                    e += f
+                if e > degree:
+                    degree = e
+            elif degree < 0:
+                degree = 0
+        if top == X:  # x has the largest id
+            raise ValueError("derivations act on generator polynomials; found x")
+        bits = degree.bit_length()
         # CPython hashes an int modulo 2^61 - 1, in which 2^61 = 1: at a width that
         # is a multiple of 61 every field weighs 1, and each key hashes to its degree
         bits += bits % 61 == 0
         # every index, then the key size, is checked before any key is built;
         # one field per generator up to the highest: an image lowers the index
-        fields = max(map(_check_index, variables), default=-1) + 1
+        _check_index(low)
+        fields = _check_index(top) + 1 if top >= 0 else 0
         if (size := fields * fields * bits) > _MAX_KEY_SIZE:
             raise ValueError(
                 f"packed monomial keys of {fields} fields of {bits} bits measure "
@@ -172,29 +197,36 @@ class Derivation:
             )
         keys = _pack(nums, bits)
         units = [1 << bits * v for v in range(fields)]
-        acc, total = _images(self.kind, nums, keys, units, spent)
-        mask, out = (1 << bits) - 1, {}
-        for k, c in acc.items():
-            if c:
-                factors = []
-                while k:  # one step per factor: the field of the lowest set bit
-                    shift = ((k & -k).bit_length() - 1) // bits * bits
-                    factors.append((shift // bits, k >> shift & mask))
-                    k -= factors[-1][1] << shift
-                out[tuple(factors)] = c
-        return Poly._make(out, den), total
+        mask, spent = (1 << bits) - 1, 0
+        while True:
+            acc, total = _images(self.kind, nums, keys, units, spent)
+            nums, keys = {}, {}
+            for k, c in acc.items():
+                if c:
+                    factors, key = [], k
+                    while k:  # one step per factor: the field of the lowest set bit
+                        shift = ((k & -k).bit_length() - 1) // bits * bits
+                        factors.append((shift // bits, k >> shift & mask))
+                        k -= factors[-1][1] << shift
+                    m = tuple(factors)
+                    nums[m], keys[m] = c, key
+            power = Poly._make(nums, den)
+            yield power, total - spent
+            if not nums:
+                return
+            nums, den = power.numerators()
+            if cumulative:
+                spent = total
 
     def power(self, p: Poly, k: int) -> Poly:
-        """k-fold application; k = 0 returns p unchanged.  The application that
-        would take the walk steps of all of them past _MAX_WALK_STEPS raises
-        ValueError before it walks."""
+        """k-fold application, k steps of one chain; k = 0 returns p unchanged.
+        The application that would take the walk steps of all of them past
+        _MAX_WALK_STEPS raises ValueError before it walks."""
         if k < 0:
             raise ValueError("power must be >= 0")
-        out, total = p, 0
-        for _ in range(k):
-            if out.is_zero():
-                break
-            out, total = self._apply(out, total)
+        out = p
+        for out, _ in islice(self._chain(p, cumulative=True), k):
+            pass
         return out
 
 

@@ -36,7 +36,9 @@ At k = t+1 the only subscript is g's own, so every g exponent is >= 0.
 The closed route is one walk, _cayley_groups, that yields C_n as Horner
 groups of integer numerators: cayley_closed merges them into one Poly,
 and the conjecture scan substitutes them as they are.  The constructive
-route is plain Poly arithmetic, which is integer arithmetic inside.
+route is plain Poly arithmetic, which is integer arithmetic inside, over
+the powers of one derivation chain, with the power of x_j it strips
+decided before the product is built.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ __all__ = [
 
 # Size limit, rejected up front rather than run for minutes.  C_n has
 # about n^2/4 terms.  At the limit, on CPython 3.11 and a 2-vCPU x86-64
-# VM, `cayley --route both` takes about 0.25 s and `scan` about 1.5 s.
+# VM, a `cayley --route both` job takes about 0.1 s (its constructive
+# route about 40 ms) and `scan` about 1.5 s.
 # C_n uses generators up to x_n, so every Cayley element stays within
 # the index limit and within identity's substituted degree limit: the
 # substituted C_n has degree at most n.
@@ -73,6 +76,15 @@ class LocalizedPoly(namedtuple("LocalizedPoly", "numerator denom_var denom_power
     __slots__ = ()
 
 
+def _least_power(monos, j: int, cap: int) -> int:
+    """min(cap, the least power of x_j in monos), read up to the first monomial without x_j."""
+    for m in monos:
+        if not cap:
+            break
+        cap = min(cap, next((e for v, e in m if v == j), 0))
+    return cap
+
+
 def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     """sigma(x_n) = sum_k D^k(x_n) lambda^k / k!, lambda = -h/D(h).
 
@@ -80,8 +92,13 @@ def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     generator: D(h) = c * x_j != 0 and D^2(h) = 0.  Returned over a
     minimal power of x_j.  The sum
     x_j^kmax sigma = sum_k D^k(x_n) (-h)^k x_j^(kmax-k) / (k! c^k)
-    is accumulated into one dict over one denominator; x_j is then divided
-    out once, to the least power it has in any term (at most kmax).
+    has no term with fewer powers of x_j than L, the least over k of the
+    least powers in D^k(x_n) and in its weight plus kmax - k (at most kmax),
+    so it is accumulated over one denominator with x_j^(kmax-k-L) in each
+    product; a term without x_j, looked for among the products built last,
+    confirms that L is the least power.  Only if none is left (a zero sum,
+    or one that cancels) is the rest divided out.  The powers D^k(x_n) come
+    from one derivation chain, each application held to the step limit.
     """
     image = d(h)
     if image.is_zero() or not d(image).is_zero():
@@ -92,18 +109,27 @@ def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
     (((j, _),), c) = terms[0]
 
     # an image lowers every index, so D^(n+1)(x_n) = 0 ends the powers
-    powers = [Poly.gen(n)]
-    while not powers[-1].is_zero():
-        powers.append(d(powers[-1]))
+    powers = [Poly.gen(n), *(power for power, _ in d._chain(Poly.gen(n)))]
     kmax = len(powers) - 2  # last nonzero index
 
-    neg_h = -h
-    parts, weight = [], Poly.one()  # weight = (-h)^k / (k! c^k)
-    for k in range(kmax + 1):
-        if k:
-            weight = weight * neg_h / (k * c)
-        (wn, wd), (pn, pd) = weight.numerators(), powers[k].numerators()
-        shift = ((j, kmax - k),) if k < kmax else ()
+    neg_h, weights = -h, [Poly.one()]  # weight = (-h)^k / (k! c^k)
+    for k in range(1, kmax + 1):
+        weights.append(weights[-1] * neg_h / (k * c))
+    least = [(_least_power(powers[k].numerators()[0], j, kmax),
+              _least_power(weights[k].numerators()[0], j, kmax)) for k in range(kmax + 1)]
+    bound = min(kmax, *(lp + lw + kmax - k for k, (lp, lw) in enumerate(least)))  # L
+
+    parts = []
+    for k, (lp, _) in enumerate(least):
+        power, weight, e = powers[k], weights[k], kmax - k - bound
+        if e < 0:  # the power and its weight carry the -e powers of x_j between them
+            cut = min(-e, lp)
+            if cut:
+                power = divide_by_generator(power, j, cut)
+            if cut < -e:
+                weight = divide_by_generator(weight, j, -e - cut)
+        (wn, wd), (pn, pd) = weight.numerators(), power.numerators()
+        shift = ((j, e),) if e > 0 else ()
         parts.append((pn, [(mono_mul(m, shift), a) for m, a in wn.items()], pd * wd))
     den = lcm(*(part_den for _, _, part_den in parts))
     total = {}
@@ -111,9 +137,9 @@ def dixmier_sigma(d: Derivation, h: Poly, n: int) -> LocalizedPoly:
         scale = den // part_den
         mul_into(total, pn.items(), [(m, a * scale) for m, a in wterms])
 
-    strip = min([kmax, *(next((e for v, e in m if v == j), 0) for m in total)])
+    rest = _least_power(reversed(total), j, kmax - bound)  # 0 at the first term without x_j
     total = Poly._make(total, den)
-    return LocalizedPoly(divide_by_generator(total, j, strip) if strip else total, j, kmax - strip)
+    return LocalizedPoly(divide_by_generator(total, j, rest) if rest else total, j, kmax - bound - rest)
 
 
 def _closed_power_terms(kind: str, n: int, k: int) -> list[int]:

@@ -193,7 +193,10 @@ class IdentityReport(
         doc = dict(family=self.family, input=self.input, substituted=self.substituted,
                    is_constant=self.is_constant)
         if self.is_constant:
-            doc["constant_value"] = str(self.constant_value)
+            try:
+                doc["constant_value"] = str(self.constant_value)
+            except ValueError:  # str() refuses an int past the interpreter's digit limit
+                raise _digit_limit_error("a coefficient") from None
         return doc
 
     def to_json(self) -> dict:

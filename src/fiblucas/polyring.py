@@ -20,10 +20,12 @@ distinguished x always last), larger exponent first.
 
 JSON has one reader, Poly.from_json, one pass into integer numerators
 (canonical "p" and "p/q" coefficients read by int(), others by Fraction() unless
-a decimal exponent passes the digit limit), and one writer, json_text, equal to
+a decimal exponent passes the digit limit, and refused if the reduced p or q does,
+as int() refuses a canonical one), and one writer, json_text, equal to
 json.dumps(doc, indent=2).  json_text writes a Poly anywhere in a document as its
-to_json(), straight from the numerators; both read one term walk, Poly._json_terms
-(order, "p/q" text, digit limit).
+to_json(), straight from the numerators; both read one term walk, Poly._json_walk
+(order, "p/q" text, digit limit), which also makes each (v, e) member once and
+collects the variable names.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _past_digit_limit(c: str) -> bool:
     digits = exp[1].replace("_", "") if exp else "0"
     return bool(limit) and (re.search(rf"\d{{{limit + 1}}}", c) is not None
                             or len(digits) > limit or int(digits) > limit)
+
+
+def _past_int_limit(n: int) -> bool:
+    """Whether n has more decimal digits than the digit limit (none at 0); 8^limit < 10^limit,
+    so only an n of more than 3 * limit bits is compared with 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10**limit
 
 
 def _past_limit(name: str) -> ValueError:
@@ -184,6 +193,20 @@ def _mono_sort_key(m: Mono) -> tuple:
         key.append(v)
         key.append(-e)
     return tuple(key)
+
+
+class _Members(dict):
+    """(v, e) -> member(name of x_v, e), each made at its first lookup."""
+
+    __slots__ = ("member",)
+
+    def __init__(self, member) -> None:
+        super().__init__()
+        self.member = member
+
+    def __missing__(self, ve: tuple[int, int]):
+        made = self[ve] = self.member(var_name(ve[0]), ve[1])
+        return made
 
 
 class Poly:
@@ -451,31 +474,32 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-    def _json_terms(self) -> tuple[list[str], list[tuple[Mono, str]]]:
-        """The JSON document's variable names, and its terms in the canonical order with
-        "p" or "p/q" coefficients in lowest terms: the one walk to_json and json_text read."""
+    def _json_walk(self, member, row) -> tuple[list[str], list]:
+        """One walk of the terms in the canonical order, the one to_json and json_text read:
+        row(c, members) per term, c its "p" or "p/q" coefficient in lowest terms and members
+        the member(name, e) of its (v, e) pairs, each made once; and the variable names."""
         nums, den = self._nums, self._den
-        names = [var_name(v) for v in sorted(self.variables())]
-        try:
-            order = sorted(nums, key=_mono_sort_key)
-            if den == 1:
-                return names, [(m, str(nums[m])) for m in order]
-            terms = []
-            for m in order:
-                c = nums[m]
-                g = gcd(c, den)  # "p/q" in lowest terms, as str(Fraction) writes it
-                terms.append((m, str(c // g) if g == den else f"{c // g}/{den // g}"))
-            return names, terms
-        except ValueError:
-            # str() refuses ints longer than the interpreter's digit
-            # limit, and Fraction() would refuse to read them back
-            raise _digit_limit_error("a coefficient") from None
+        made = _Members(member)
+        get, rows = made.__getitem__, []
+        for m in sorted(nums, key=_mono_sort_key):
+            c = nums[m]
+            try:
+                if den != 1:
+                    g = gcd(c, den)  # "p/q" in lowest terms, as str(Fraction) writes it
+                    c = f"{c // g}/{den // g}" if g != den else c // g
+                c = str(c)
+            except ValueError:
+                # str() refuses ints longer than the interpreter's digit
+                # limit, and Fraction() would refuse to read them back
+                raise _digit_limit_error("a coefficient") from None
+            rows.append(row(c, map(get, m)))
+        return [var_name(v) for v in sorted({v for v, _ in made})], rows
 
     def to_json(self) -> dict:
         """Canonical JSON document: variable names, ordered terms,
         decimal-string fraction coefficients ("p/q" or "p")."""
-        names, terms = self._json_terms()
-        terms = [{"coeff": c, "exps": {var_name(v): e for v, e in m}} for m, c in terms]
+        names, terms = self._json_walk(lambda name, e: (name, e),
+                                       lambda c, members: {"coeff": c, "exps": dict(members)})
         return {"vars": names, "terms": terms}
 
     @classmethod
@@ -506,6 +530,8 @@ class Poly:
                 if pq:  # int() refuses a canonical coefficient only past the digit limit
                     raise _digit_limit_error(f"coefficient {clip(c)}") from None
                 raise ValueError(f"bad coefficient {clip(c)}") from exc
+            if not pq and (_past_int_limit(p) or _past_int_limit(q)):  # as int() bounds "p/q"
+                raise _digit_limit_error(f"coefficient {clip(c)}")
             exps = t.get("exps", {})
             if type(exps) is not dict and not isinstance(exps, Mapping):
                 raise ValueError("exps must be an object")
@@ -549,20 +575,22 @@ def json_text(doc, indent: str = "\n") -> str:
 
 def _block(items: list[str], indent: str, ends: str) -> str:
     """A JSON array or object of item texts, one to a line, one level in from indent."""
-    inner = indent + "  "
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+    inner = indent + "  "  # one f-string: a long block is copied once more, not per +
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{indent}{ends[1]}" if items else ends
 
 
 def _poly_text(p: Poly, indent: str) -> str:
     """json_text(p.to_json(), indent) from p's term walk, each (v, e) member's text made once."""
-    names, terms = p._json_terms()
     i1, i2, i3, i4 = (indent + " " * k for k in (2, 4, 6, 8))
-    text = {ve: f'"{var_name(ve[0])}": {ve[1]}' for ve in {ve for m, _ in terms for ve in m}}
     head, exps, sep, tail = "{" + i3 + '"coeff": "', '",' + i3 + '"exps": {', "," + i4, i2 + "}"
-    rows = [f"{head}{c}{exps}{i4}{sep.join(map(text.__getitem__, m))}{i3}}}{tail}" if m
-            else f"{head}{c}{exps}}}{tail}" for m, c in terms]
-    names = _block(['"' + n + '"' for n in names], i1, "[]")
-    return _block(['"vars": ' + names, '"terms": ' + _block(rows, i1, "[]")], indent, "{}")
+
+    def row(c: str, members) -> str:
+        body = sep.join(members)
+        return f"{head}{c}{exps}{i4}{body}{i3}}}{tail}" if body else f"{head}{c}{exps}}}{tail}"
+
+    names, rows = p._json_walk(lambda name, e: f'"{name}": {e}', row)
+    names, terms = _block(['"' + n + '"' for n in names], i1, "[]"), _block(rows, i1, "[]")
+    return f'{{{i1}"vars": {names},{i1}"terms": {terms}{indent}}}'
 
 
 def divide_by_generator(p: Poly, v: int, k: int = 1) -> Poly | None:

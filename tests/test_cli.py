@@ -11,7 +11,7 @@ from time import perf_counter
 
 import pytest
 
-from fiblucas import cli
+from fiblucas import cli, derivops
 from fiblucas.derivops import _MAX_KEY_SIZE, _MAX_WALK_STEPS, Derivation
 from fiblucas.dixmier import _MAX_CAYLEY_N, cayley_closed
 from fiblucas.intertwine import _MAX_INTERTWINE_N
@@ -311,6 +311,45 @@ def test_identity_result_over_digit_limit_names_the_limit_in_both_formats(tmp_pa
     )
 
 
+def test_identity_constant_over_digit_limit_names_the_limit_in_json(tmp_path, capsys):
+    # two x1 terms of 4300 nines each are read, and merge to 4301 digits: F_1 = 1, so
+    # the constant has them too; the JSON report names the limit, as the LaTeX one does
+    path = tmp_path / "big.json"
+    nines = {"coeff": "9" * 4300, "exps": {"x1": 1}}
+    path.write_text(json.dumps({"terms": [nines, nines]}), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        code, out, err = run(capsys, "identity", "--family", "fib", "--input", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a coefficient has more than 4300 decimal digits, the limit on JSON coefficients\n"
+    )
+
+
+def test_coefficient_read_past_digit_limit_exits_two(tmp_path, capsys):
+    # 1e-4300 is 1/10^4300, whose denominator "1/1000..." could not carry: refused at
+    # read, as its canonical spelling is; one digit less is read and written back
+    path = tmp_path / "tiny.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        outcomes = []
+        for c in ("1e-4300", "1e-4299"):
+            path.write_text(json.dumps({"terms": [{"coeff": c, "exps": {"x1": 1}}]}),
+                            encoding="utf-8")
+            outcomes.append(run(capsys, "identity", "--family", "fib", "--input", str(path)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outcomes[0] == (2, "", "error: coefficient '1e-4300' has more than 4300 decimal "
+                                  "digits, the limit on JSON coefficients\n")
+    code, out, err = outcomes[1]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["constant_value"] == "1/1" + "0" * 4299
+
+
 def test_coefficient_exponent_past_digit_limit_exits_two_at_once(tmp_path):
     # Fraction() builds 10**999999999 for "1e-999999999", which no bound stops;
     # the reader refuses the exponent first
@@ -540,14 +579,14 @@ def test_out_of_memory_exits_three_with_a_fixed_message(capsys, monkeypatch):
 def counted_applications(monkeypatch):
     """The term count of each Derivation application that ran from here on."""
     applied = []
-    apply = Derivation._apply
+    images = derivops._images
 
-    def counting(self, p, spent):
-        out = apply(self, p, spent)
-        applied.append(len(p))
+    def counting(kind, nums, keys, units, spent):
+        out = images(kind, nums, keys, units, spent)
+        applied.append(len(nums))
         return out
 
-    monkeypatch.setattr(Derivation, "_apply", counting)
+    monkeypatch.setattr(derivops, "_images", counting)
     return applied
 
 

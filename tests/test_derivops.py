@@ -2,6 +2,7 @@ import cProfile
 import pstats
 import random
 import re
+from itertools import islice
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
@@ -418,16 +419,20 @@ def _edge_exponents():
     return sorted({e for b in range(1, 8) for e in (2 ** b - 1, 2 ** b, 2 ** b + 1)})
 
 
-@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
-def test_packed_pass_matches_references_builtin(kind):
+def _builtin_cases(kind):
+    """Dense generator sets: rational inputs, exponents at the width edges."""
     rng = random.Random(f"packed-{kind}")
-    d = Derivation(kind)
     cases = [Poly.zero(), Poly.one(), Poly.constant(Fraction(-3, 7))]
     for e in _edge_exponents():
         cases += [g(5) ** e, Fraction(2, 9) * g(3) ** e * g(4) ** (e + 1) - g(1) * g(9) ** e,
                   g(0) ** (e - 1) * g(1) + g(2) ** e * g(7), g(40) ** e + g(39) * g(2) ** (e - 1)]
-    cases += [_poly_over(rng, list(range(13)), rng.choice([1, 3, 60])) for _ in range(80)]
-    for p in cases:
+    return cases + [_poly_over(rng, list(range(13)), rng.choice([1, 3, 60])) for _ in range(80)]
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS, APPELL])
+def test_packed_pass_matches_references_builtin(kind):
+    d = Derivation(kind)
+    for p in _builtin_cases(kind):
         _check_packed(d, p)
 
 
@@ -435,23 +440,61 @@ def test_packed_pass_matches_references_builtin(kind):
 _SPARSE_GENS = ([0, 2, 3, 300, _MAX_INDEX], [1, 7, 40, 999], [0, 1, 4])
 
 
-def test_packed_pass_matches_references_custom():
-    # the built-ins on sparse generator sets, rational inputs, exponents at the width edges
+def _sparse_cases():
+    """(kind, sparse generator set, its cases): rational inputs, exponents at the width edges."""
     rng = random.Random("packed-sparse")
     for kind in (FIBONACCI, LUCAS, APPELL):
-        d = Derivation(kind)
         for gens in _SPARSE_GENS:
             cases = [Poly.zero(), Poly.constant(Fraction(11, 13))]
             for e in _edge_exponents():
                 cases += [g(gens[-1]) ** e, Fraction(-7, 11) * g(gens[1]) ** (e - 1) * g(gens[-1])
                           + Fraction(2, 10 ** 20 + 1) * g(gens[-2]) ** e]
-            cases += [_poly_over(rng, gens, rng.choice([1, 4, 40])) for _ in range(30)]
-            for p in cases:
-                _check_packed(d, p)
+            yield kind, gens, cases + [_poly_over(rng, gens, rng.choice([1, 4, 40]))
+                                       for _ in range(30)]
+
+
+def test_packed_pass_matches_references_custom():
+    # the built-ins on sparse generator sets
+    for kind, _, cases in _sparse_cases():
+        d = Derivation(kind)
+        for p in cases:
+            _check_packed(d, p)
     # D(x_0^a x_1) = x_0^(a + 1) fills the widest field the width allows
     for d in (Derivation.lucas(), Derivation.appell()):
         for a in _edge_exponents():
             assert _check_packed(d, g(0) ** a * g(1)) == g(0) ** (a + 1)
+
+
+def test_power_is_one_chain_equal_to_successive_calls():
+    # power(p, k) runs k steps of one key layout, each feeding its monomials and keys
+    # to the next; it equals k separate calls, each of which lays its keys out anew,
+    # and k steps of the merge-based and Leibniz references
+    # the cases on x0..x12, whose fourth powers the references take in seconds
+    cases = [(kind, p) for kind in (FIBONACCI, LUCAS, APPELL) for p in _builtin_cases(kind)
+             if max(p.variables(), default=0) <= 12]
+    cases += [(kind, p) for kind, gens, ps in _sparse_cases() if max(gens) <= 12 for p in ps]
+    for kind, p in cases:
+        d = Derivation(kind)
+        called = merged = summed = p
+        spent = 0
+        for k in range(1, 5):
+            try:
+                called, steps = next(d._chain(called))
+                spent += steps
+            except ValueError:  # past the limit on its own
+                spent = derivops._MAX_WALK_STEPS + 1
+            if spent > derivops._MAX_WALK_STEPS:  # power's limit is on all its applications
+                with pytest.raises(ValueError, match="past the derivation step limit"):
+                    d.power(p, k)
+                break
+            merged, summed = call_reference(d, merged), leibniz_reference(d, summed)
+            got = d.power(p, k)
+            assert got == called == merged == summed, (kind, p, k)
+            _assert_canonical(got)
+        else:
+            chain = list(islice(d._chain(p), 4))  # to the first zero
+            assert [q for q, _ in chain] == [d.power(p, k) for k in range(1, len(chain) + 1)]
+            assert len(chain) == 4 or chain[-1][0].is_zero()
 
 
 def test_packed_table_is_reused_and_widened():
@@ -607,7 +650,7 @@ def test_step_limit_checked_before_any_walk(monkeypatch):
     assert len(cofactors) * 10 == limit
     p = Poly.from_terms((m + ((20, 1),), 1) for m in cofactors)
     d = Derivation.fibonacci()
-    got, steps = d._apply(p, 0)
+    got, steps = next(d._chain(p))
     assert steps == limit
     assert got == d(g(20)) * Poly.from_terms((m, 1) for m in cofactors)
     # one step more: x2 on the new cofactor x0^200

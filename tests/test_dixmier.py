@@ -4,6 +4,7 @@ from time import perf_counter
 
 import pytest
 
+from fiblucas import dixmier
 from fiblucas.derivops import Derivation, kernel_member
 from fiblucas.dixmier import (
     _MAX_CAYLEY_N,
@@ -331,3 +332,21 @@ def test_dixmier_sigma_keeps_x_j_factors_past_the_denominator():
     # x_0, but the denominator power cannot go below zero
     sig = dixmier_sigma(Derivation.lucas(), g(1), 0)
     assert sig == LocalizedPoly(g(0), 0, 0)
+
+
+def test_constructive_route_never_divides_the_accumulated_sum(monkeypatch):
+    # the strip is decided before the product: x_j is divided out of a power D^k(x_n)
+    # or its weight, never out of the sum, for every size the routes are compared at
+    received = []
+
+    def divide(p, v, k=1):
+        received.append(len(p))
+        return divide_by_generator(p, v, k)
+
+    monkeypatch.setattr(dixmier, "divide_by_generator", divide)
+    for kind, first in (("fibonacci", 3), ("lucas", 1)):
+        for n in range(first, _MAX_CAYLEY_N + 1):
+            del received[:]
+            built = cayley_constructive(kind, n)
+            assert built == cayley_closed(kind, n), (kind, n)
+            assert all(size <= n // 2 + 1 and size < len(built) for size in received), (kind, n)

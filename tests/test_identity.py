@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from fiblucas.identity import (
     verify_identity,
 )
 from fiblucas.intertwine import AL, psi
-from fiblucas.polyring import _MAX_INDEX, Poly, X
+from fiblucas.polyring import _MAX_INDEX, Poly, X, json_text
 
 
 def g(n):
@@ -588,3 +589,25 @@ def test_identity_report_is_frozen():
     assert isinstance(report, IdentityReport)
     with pytest.raises(AttributeError):
         report.family = "fibonacci"
+
+
+# identity JSON of q * C_120 + r, q = -37/41 and r = 53/29, as written before the
+# writer read each term once: sha256 of emit(verify_identity(...), "json")
+_EMIT_DIGESTS = {
+    "fibonacci": "1af727eb8f0cd4dbfdeae757f61bd604466be032f5b26306e0a8ee29b68bff99",
+    "lucas": "b0ef8d869bd51bb3e7437b1538dbd3ea13bf383db87160b2d457d8338dbbb273",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EMIT_DIGESTS))
+def test_writer_bytes_at_real_sizes(family):
+    # the one-walk writer equals json.dumps at the sizes the CLI writes: C_120, and
+    # q * C_120 + r with rational q and r, built and read back from JSON
+    c = cayley_closed(family, 120)
+    p = Fraction(-37, 41) * c + Fraction(53, 29)
+    for poly in (c, p, Poly.from_json(json.loads(json_text(p)))):
+        assert json_text(poly) == json.dumps(poly.to_json(), indent=2)
+    report = identity.verify_identity(p, family)
+    text = identity.emit(report, "json")
+    assert text == json.dumps(report.to_json(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == _EMIT_DIGESTS[family]

@@ -774,7 +774,16 @@ def test_from_json_matches_reference_reader():
                             "decimal digits, the limit on JSON coefficients"), c
     assert perf_counter() - t0 < 1.0
     assert coeff("1e3") == 1000 and coeff("1.5") == Fraction(3, 2)
-    assert coeff(f"1e-{limit}") == Fraction(1, 10**limit)
+    # a value whose reduced p or q has more digits than the limit is refused, as int()
+    # refuses its canonical spelling, so that what is read can be written back
+    for c in (f"1e-{limit}", f"12.5e{limit - 1}"):
+        assert coeff(c) == (ValueError, f"coefficient {clip(c)} has more than {limit} "
+                            "decimal digits, the limit on JSON coefficients"), c
+    for c, value in ((f"1e-{limit - 1}", Fraction(1, 10 ** (limit - 1))),
+                     (f"12.5e{limit - 2}", 125 * 10 ** (limit - 3))):
+        got = coeff(c)
+        assert got == value, c
+        assert Poly.from_json(json.loads(json_text(got))) == got, c
     if limit:  # with the limit off (0), any exponent is read, as before
         sys.set_int_max_str_digits(0)
         try:
