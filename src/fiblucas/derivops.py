@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
 
 from .families import APPELL, FIBONACCI, LUCAS, _check_kind, derivative_terms
 from .polyring import Poly, X, _check_index
@@ -75,7 +74,7 @@ _MAX_KEY_SIZE = 2**24
 
 
 # only Derivation.image fills the memo: every image up to the index limit is about 50 MB
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: True and 2.0 miss, and reach the index check
 def builtin_image(kind: str, n: int) -> Poly:
     """Generator image D(x_n) for one of the built-in derivations."""
     terms = derivative_terms(_check_kind(kind), _check_index(n))
@@ -225,7 +224,7 @@ class Derivation:
         if k < 0:
             raise ValueError("power must be >= 0")
         out = p
-        for out, _ in islice(self._chain(p, cumulative=True), k):
+        for _, (out, _) in zip(range(k), self._chain(p, cumulative=True)):
             pass
         return out
 

@@ -50,7 +50,7 @@ def _check_kind(kind: str, allowed=_FAMILIES) -> str:
     return kind
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 miss, and reach the index check
 def family_poly(kind: str, n: int) -> Poly:
     """The n-th member of the family, a polynomial in x."""
     _check_kind(kind)

@@ -22,8 +22,8 @@ from .families import FIBONACCI, LUCAS, _check_kind, family_values
 from .families import family_poly  # noqa: F401  perfbench/launcher.py wraps it here by name
 from .intertwine import AL, psi
 from .polyring import (
-    _MAX_INDEX, Mono, Poly, X, _check_index, _digit_limit_error, det, divide_by_generator,
-    json_text,
+    _MAX_INDEX, Mono, Poly, X, _check_index, _coeff_text, _digit_limit_error, det,
+    divide_by_generator, json_text,
 )
 
 __all__ = [
@@ -193,10 +193,7 @@ class IdentityReport(
         doc = dict(family=self.family, input=self.input, substituted=self.substituted,
                    is_constant=self.is_constant)
         if self.is_constant:
-            try:
-                doc["constant_value"] = str(self.constant_value)
-            except ValueError:  # str() refuses an int past the interpreter's digit limit
-                raise _digit_limit_error("a coefficient") from None
+            doc["constant_value"] = _coeff_text(self.constant_value)
         return doc
 
     def to_json(self) -> dict:

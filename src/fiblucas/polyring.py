@@ -19,9 +19,8 @@ exponents variable by variable in the order x_0, x_1, ..., x (the
 distinguished x always last), larger exponent first.
 
 JSON has one reader, Poly.from_json, one pass into integer numerators
-(canonical "p" and "p/q" coefficients read by int(), others by Fraction() unless
-a decimal exponent passes the digit limit, and refused if the reduced p or q does,
-as int() refuses a canonical one), and one writer, json_text, equal to
+(coefficients in the one grammar the writer writes, "p" or "p/q", read by int();
+any other spelling is refused), and one writer, json_text, equal to
 json.dumps(doc, indent=2).  json_text writes a Poly anywhere in a document as its
 to_json(), straight from the numerators; both read one term walk, Poly._json_walk
 (order, "p/q" text, digit limit), which also makes each (v, e) member once and
@@ -60,7 +59,6 @@ _VALID_COEFF = (int, Fraction)
 _MAX_INDEX = 1000
 
 _CANONICAL_COEFF = re.compile("(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch  # "p" or "p/q", q > 0
-_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z").search  # a decimal exponent, as in Fraction()
 
 
 def var_name(v: int) -> str:
@@ -80,21 +78,12 @@ def _digit_limit_error(subject: str) -> ValueError:
                       "the limit on JSON coefficients")
 
 
-def _past_digit_limit(c: str) -> bool:
-    """Whether reading c takes an int past the digit limit (none at 0): a longer run of
-    digits, or a decimal exponent above the limit, as Fraction() builds 10**exponent."""
-    limit = sys.get_int_max_str_digits()
-    exp = _EXPONENT(c)
-    digits = exp[1].replace("_", "") if exp else "0"
-    return bool(limit) and (re.search(rf"\d{{{limit + 1}}}", c) is not None
-                            or len(digits) > limit or int(digits) > limit)
-
-
-def _past_int_limit(n: int) -> bool:
-    """Whether n has more decimal digits than the digit limit (none at 0); 8^limit < 10^limit,
-    so only an n of more than 3 * limit bits is compared with 10^limit."""
-    limit = sys.get_int_max_str_digits()
-    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10**limit
+def _coeff_text(c: Fraction | int) -> str:
+    """str(c), or the digit limit error if str() refuses one of its ints."""
+    try:
+        return str(c)
+    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        raise _digit_limit_error("a coefficient") from None
 
 
 def _past_limit(name: str) -> ValueError:
@@ -102,8 +91,11 @@ def _past_limit(name: str) -> ValueError:
 
 
 def _check_index(v: int) -> int:
-    """v, if x_v is a generator.  Past the limit, x_v is named as in JSON, or by its bit
-    length if that name would be clipped: str() of an int has a digit limit."""
+    """v, if x_v is a generator: a plain int, so that x_v's JSON name reads back.  Past the
+    limit, x_v is named as in JSON, or by its bit length if that name would be clipped:
+    str() of an int has a digit limit."""
+    if type(v) is not int:
+        raise ValueError(f"generator index must be an int, got {clip(v)}")
     if v < 0:
         raise ValueError("generator index must be >= 0")
     if v > _MAX_INDEX:
@@ -468,7 +460,7 @@ class Poly:
 
     def __str__(self) -> str:
         return self.render(
-            lambda v, e: var_name(v) + (f"^{e}" if e > 1 else ""), str, "*", " + ", " - "
+            lambda v, e: var_name(v) + (f"^{e}" if e > 1 else ""), _coeff_text, "*", " + ", " - "
         )
 
     def __repr__(self) -> str:
@@ -521,17 +513,12 @@ class Poly:
             c = t["coeff"]
             if not isinstance(c, str):
                 raise ValueError(f"coefficient must be a string, got {c!r}")
-            pq = _CANONICAL_COEFF(c)
-            if not pq and _past_digit_limit(c):  # checked before Fraction() reads it
-                raise _digit_limit_error(f"coefficient {clip(c)}")
+            if not (pq := _CANONICAL_COEFF(c)):
+                raise ValueError(f"bad coefficient {clip(c)}")
             try:
-                p, q = (int(pq[1]), int(pq[2] or 1)) if pq else Fraction(c).as_integer_ratio()
-            except (ValueError, ZeroDivisionError) as exc:
-                if pq:  # int() refuses a canonical coefficient only past the digit limit
-                    raise _digit_limit_error(f"coefficient {clip(c)}") from None
-                raise ValueError(f"bad coefficient {clip(c)}") from exc
-            if not pq and (_past_int_limit(p) or _past_int_limit(q)):  # as int() bounds "p/q"
-                raise _digit_limit_error(f"coefficient {clip(c)}")
+                p, q = int(pq[1]), int(pq[2] or 1)
+            except ValueError:  # int() refuses a canonical coefficient only past the digit limit
+                raise _digit_limit_error(f"coefficient {clip(c)}") from None
             exps = t.get("exps", {})
             if type(exps) is not dict and not isinstance(exps, Mapping):
                 raise ValueError("exps must be an object")

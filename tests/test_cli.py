@@ -59,6 +59,14 @@ def test_derive_with_power(tmp_path, capsys):
     assert Poly.from_json(json.loads(out)) == 20 * g(4) - 16 * g(2)
 
 
+def test_derive_power_past_sys_maxsize_exits_zero(tmp_path, capsys):
+    path = poly_file(tmp_path, g(3))
+    power = str(10 ** 20 - 1)  # past sys.maxsize on a 64-bit build
+    code, out, err = run(capsys, "derive", "--family", "lucas", "--input", path, "--power", power)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"vars": [], "terms": []}
+
+
 def test_derive_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps(g(3).to_json()))
@@ -296,7 +304,7 @@ def test_identity_result_over_digit_limit_names_the_limit_in_both_formats(tmp_pa
     # 10^4200 F_400 F_500 has coefficients of more than 4300 digits: the input is
     # read, the result cannot be written, and both writers name the limit alike
     path = tmp_path / "big.json"
-    doc = {"terms": [{"coeff": "1e4200", "exps": {"x500": 1, "x400": 1}}]}
+    doc = {"terms": [{"coeff": "1" + "0" * 4200, "exps": {"x500": 1, "x400": 1}}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
@@ -330,43 +338,55 @@ def test_identity_constant_over_digit_limit_names_the_limit_in_json(tmp_path, ca
 
 
 def test_coefficient_read_past_digit_limit_exits_two(tmp_path, capsys):
-    # 1e-4300 is 1/10^4300, whose denominator "1/1000..." could not carry: refused at
-    # read, as its canonical spelling is; one digit less is read and written back
+    # a q of 4300 digits is read and written back; one of 4301 could not be
+    # written, and is refused at read
     path = tmp_path / "tiny.json"
+    docs = [{"vars": ["x1"], "terms": [{"coeff": "1/1" + "0" * zeros, "exps": {"x1": 1}}]}
+            for zeros in (4300, 4299)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
     try:
         outcomes = []
-        for c in ("1e-4300", "1e-4299"):
-            path.write_text(json.dumps({"terms": [{"coeff": c, "exps": {"x1": 1}}]}),
-                            encoding="utf-8")
+        for doc in docs:
+            path.write_text(json.dumps(doc), encoding="utf-8")
             outcomes.append(run(capsys, "identity", "--family", "fib", "--input", str(path)))
     finally:
         sys.set_int_max_str_digits(limit)
-    assert outcomes[0] == (2, "", "error: coefficient '1e-4300' has more than 4300 decimal "
-                                  "digits, the limit on JSON coefficients\n")
+    assert outcomes[0] == (2, "", f"error: coefficient {'1/1' + '0' * 37!r}... (4303 characters) "
+                                  "has more than 4300 decimal digits, the limit on JSON coefficients\n")
     code, out, err = outcomes[1]
     assert (code, err) == (0, "")
+    assert json.loads(out)["input"] == docs[1]
     assert json.loads(out)["constant_value"] == "1/1" + "0" * 4299
 
 
 def test_coefficient_exponent_past_digit_limit_exits_two_at_once(tmp_path):
-    # Fraction() builds 10**999999999 for "1e-999999999", which no bound stops;
-    # the reader refuses the exponent first
+    # Fraction() would build 10**999999999 for "1e-999999999", which no bound stops,
+    # and with the digit limit off nothing else would; the reader refuses the spelling
     path = tmp_path / "tiny.json"
     path.write_text('{"terms": [{"coeff": "1e-999999999", "exps": {"x3": 1}}]}', encoding="utf-8")
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    t0 = perf_counter()
     args = ["identity", "--family", "fib", "--input", str(path)]
-    res = subprocess.run([sys.executable, "-m", "fiblucas", *args],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert perf_counter() - t0 < 10
-    limit = sys.get_int_max_str_digits()
-    assert (res.returncode, res.stdout, res.stderr) == (2, "", (
-        f"error: coefficient '1e-999999999' has more than {limit} decimal digits, "
-        "the limit on JSON coefficients\n"
-    ))
+    for digits in (None, "0"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = digits
+        t0 = perf_counter()
+        res = subprocess.run([sys.executable, "-m", "fiblucas", *args],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert perf_counter() - t0 < 10
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", "error: bad coefficient '1e-999999999'\n"), digits
+
+
+@pytest.mark.parametrize("coeff", ["+3", " 3/4 ", "1.5", "1e3", "1_0", "\u0663", "3/0", ""])
+def test_coefficient_outside_the_writer_grammar_exits_two(tmp_path, capsys, coeff):
+    # the reader reads "p" and "p/q" in ASCII digits, q nonzero, as json_text writes them
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps({"terms": [{"coeff": coeff, "exps": {"x1": 1}}]}), encoding="utf-8")
+    code, out, err = run(capsys, "kernel-check", "--family", "lucas", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: bad coefficient {coeff!r}\n")
 
 
 def test_json_number_over_digit_limit_names_the_limit(tmp_path, capsys):

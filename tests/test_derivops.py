@@ -2,6 +2,7 @@ import cProfile
 import pstats
 import random
 import re
+import sys
 from itertools import islice
 from fractions import Fraction
 from math import gcd
@@ -139,6 +140,13 @@ def test_derivation_repr_and_negative_power():
         "Derivation('fibonacci')", "Derivation('lucas')", "Derivation('appell')"]
     with pytest.raises(ValueError, match="^power must be >= 0$"):
         Derivation.lucas().power(g(3), -1)
+
+
+def test_power_past_sys_maxsize_ends_at_the_first_zero():
+    # the chain stops at its first zero, so any int k has an answer
+    for k in (sys.maxsize + 1, 10 ** 30):
+        assert Derivation.lucas().power(g(3), k) == 0
+        assert Derivation.fibonacci().power(g(1) * g(3) + g(2), k) == 0
 
 
 def test_derive_power_example():

@@ -13,9 +13,11 @@ import pytest
 
 from conftest import random_fraction, random_poly, random_terms, random_x_poly
 from fiblucas.derivops import Derivation, builtin_image
-from fiblucas.dixmier import cayley_closed
+from fiblucas.dixmier import cayley_closed, closed_power_on_generator
 from fiblucas.families import APPELL, FIBONACCI, LUCAS, family_poly, family_values
+from fiblucas.identity import poly_to_latex
 from fiblucas.polyring import (
+    _CANONICAL_COEFF,
     _MAX_INDEX,
     Poly,
     X,
@@ -627,7 +629,8 @@ def test_custom_derivation_with_rational_images_matches_oracle():
 
 
 def _reference_from_json(doc: Mapping) -> Poly:
-    """Poly.from_json as it was before the one-pass reader, kept verbatim."""
+    """Poly.from_json as it was before the one-pass reader, with Fraction() reading only
+    what the writer writes: "p" or "p/q" in ASCII digits, q with a nonzero digit."""
     if not isinstance(doc, Mapping):
         raise ValueError("polynomial JSON must be an object")
     if "terms" not in doc or not isinstance(doc["terms"], list):
@@ -643,18 +646,18 @@ def _reference_from_json(doc: Mapping) -> Poly:
         c = t["coeff"]
         if not isinstance(c, str):
             raise ValueError(f"coefficient must be a string, got {c!r}")
+        # quote at most 40 characters
+        shown = repr(c) if len(c) <= 40 else f"{c[:40]!r}... ({len(c)} characters)"
+        if not re.fullmatch("-?[0-9]+(/[0-9]*[1-9][0-9]*)?", c):
+            raise ValueError(f"bad coefficient {shown}")
         try:
             c = Fraction(c)
-        except (ValueError, ZeroDivisionError) as exc:
-            # quote at most 40 characters; name the digit limit if past it
-            shown = repr(c) if len(c) <= 40 else f"{c[:40]!r}... ({len(c)} characters)"
+        except ValueError:  # a canonical spelling is refused only past the digit limit
             limit = sys.get_int_max_str_digits()
-            if limit and re.search(rf"\d{{{limit + 1}}}", c):
-                raise ValueError(
-                    f"coefficient {shown} has more than {limit} decimal digits, "
-                    "the limit on JSON coefficients"
-                ) from None
-            raise ValueError(f"bad coefficient {shown}") from exc
+            raise ValueError(
+                f"coefficient {shown} has more than {limit} decimal digits, "
+                "the limit on JSON coefficients"
+            ) from None
         exps = t.get("exps", {})
         if not isinstance(exps, Mapping):
             raise ValueError("exps must be an object")
@@ -698,8 +701,8 @@ def _outcome(read, doc):
         return (type(exc), str(exc))
 
 
-# coefficient spellings on and off the canonical "p" and "p/q" path, some
-# that Fraction() reads and some it rejects: the reader must agree on each
+# coefficient spellings in and out of the canonical "p" and "p/q" grammar, some
+# that Fraction() would read: the reader must agree with the reference on each
 _SPELLINGS = [
     "+3", " 3/4 ", "1.5", "1e3", "007", "-0", "6/4", "1/00", "0/5", "-12/35",
     "1_000", "\u0661\u0662", "\u0663/\u0664", "-\u0667", "3/", "/3", "-", "", "a",
@@ -762,34 +765,76 @@ def test_from_json_matches_reference_reader():
         f"coefficient {'7' * 40!r}... (4301 characters) has more than {limit} "
         "decimal digits, the limit on JSON coefficients",
     )
-    # a decimal exponent past the limit is refused before Fraction() builds 10**exponent,
-    # whose digits nothing bounds; one at the limit, and short ones, are read
+    # every other spelling is refused at once, under either limit: "1e-999999999" is
+    # a short string whose value has a billion digits
     def coeff(c):
         return _outcome(Poly.from_json, {"terms": [{"coeff": c}]})
 
-    t0 = perf_counter()
-    for c in ("1e-999999999", f"1e{limit + 1}", f"-2.5E-{limit + 1} ", "1e1_000_000",
-              "1e" + "0" * 5000):
-        assert coeff(c) == (ValueError, f"coefficient {clip(c)} has more than {limit} "
-                            "decimal digits, the limit on JSON coefficients"), c
-    assert perf_counter() - t0 < 1.0
-    assert coeff("1e3") == 1000 and coeff("1.5") == Fraction(3, 2)
-    # a value whose reduced p or q has more digits than the limit is refused, as int()
-    # refuses its canonical spelling, so that what is read can be written back
-    for c in (f"1e-{limit}", f"12.5e{limit - 1}"):
-        assert coeff(c) == (ValueError, f"coefficient {clip(c)} has more than {limit} "
-                            "decimal digits, the limit on JSON coefficients"), c
-    for c, value in ((f"1e-{limit - 1}", Fraction(1, 10 ** (limit - 1))),
-                     (f"12.5e{limit - 2}", 125 * 10 ** (limit - 3))):
-        got = coeff(c)
-        assert got == value, c
-        assert Poly.from_json(json.loads(json_text(got))) == got, c
-    if limit:  # with the limit off (0), any exponent is read, as before
-        sys.set_int_max_str_digits(0)
+    for digits in (limit, 0):
+        sys.set_int_max_str_digits(digits)
         try:
-            assert coeff(f"1e-{limit + 1}") == Fraction(1, 10 ** (limit + 1))
+            t0 = perf_counter()
+            for c in ("1e-999999999", f"1e{limit + 1}", f"-2.5E-{limit + 1} ", "1e1_000_000",
+                      "1e" + "0" * 5000, "1e3", "1.5", "+3"):
+                assert coeff(c) == (ValueError, f"bad coefficient {clip(c)}"), c
+            assert perf_counter() - t0 < 1.0
         finally:
             sys.set_int_max_str_digits(limit)
+    if limit:
+        # a p or q of exactly the limit in digits is read and written back; one more is refused
+        for c, value in (("1/1" + "0" * (limit - 1), Fraction(1, 10 ** (limit - 1))),
+                         ("-" + "9" * limit + "/7", Fraction(1 - 10 ** limit, 7))):
+            got = coeff(c)
+            assert got == value, c
+            assert Poly.from_json(json.loads(json_text(got))) == got, c
+        for c in ("1/1" + "0" * limit, "-" + "9" * (limit + 1) + "/7"):
+            assert coeff(c) == (ValueError, f"coefficient {clip(c)} has more than {limit} "
+                                "decimal digits, the limit on JSON coefficients"), c
+
+
+def _edge_fraction(rng, limit):
+    """A reduced p/q, p of sign either way, p and q each of exactly limit digits."""
+    p = rng.randrange(10 ** (limit - 1), 10 ** limit)
+    q = rng.randrange(10 ** (limit - 1), 10 ** limit)
+    while gcd(p, q) != 1:
+        q = rng.randrange(10 ** (limit - 1), 10 ** limit)
+    return Fraction(rng.choice((p, -p)), q)
+
+
+def test_writer_emits_only_the_grammar_the_reader_reads():
+    rng = random.Random(2929)
+    limit = sys.get_int_max_str_digits()
+    polys = [Poly.zero(), Poly.constant(Fraction(-6, 4)), Poly.constant(-7) * g(2)]
+    polys += [random_poly(rng, allow_x=True) for _ in range(60)]
+    if limit:
+        for _ in range(4):
+            edge = Poly.term(_edge_fraction(rng, limit), {rng.randrange(5): 1, X: 2})
+            polys.append(edge + Poly.constant(random_fraction(rng)) * g(7))
+            polys.append(Poly.constant(rng.choice((1, -1)) * (10 ** limit - 1)) * g(3) - 5)
+    seen = set()
+    for p in polys:
+        doc = json.loads(json_text(p))
+        for t in doc["terms"]:
+            assert _CANONICAL_COEFF(t["coeff"]), t["coeff"][:40]
+            seen.add(("-" in t["coeff"], "/" in t["coeff"]))
+        assert Poly.from_json(doc) == p
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_str_and_repr_name_the_digit_limit():
+    # str(), repr(), json_text and LaTeX refuse a coefficient past the limit alike
+    big = Poly.constant(10 ** 5000) * g(1) + Fraction(1, 3)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        for show in (str, repr, json_text, lambda p: poly_to_latex(p, FIBONACCI)):
+            with pytest.raises(ValueError) as err:
+                show(big)
+            assert str(err.value) == (
+                "a coefficient has more than 4300 decimal digits, the limit on JSON coefficients"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _random_json_doc(rng, depth=0):
@@ -948,7 +993,8 @@ _INDEX_ENTRY_POINTS = {
     "Poly.term": lambda v: Poly.term(3, {v: 1, X: 2}),
     "builtin_image": lambda v: builtin_image(LUCAS, v),
     "family_poly": lambda v: family_poly(FIBONACCI, v),
-    "family_values": lambda v: family_values(LUCAS, 5, [2, v]),
+    "family_values": lambda v: family_values(LUCAS, 5, [3, v]),
+    "closed_power_on_generator": lambda v: closed_power_on_generator(FIBONACCI, v, 1),
 }
 
 
@@ -967,6 +1013,19 @@ def test_index_limit_refused_at_every_entry_point(entry):
             build(v)
         assert perf_counter() - t0 < 1.0, v.bit_length()
         assert str(err.value) == f"generator {name} is past the index limit {_MAX_INDEX}"
+
+
+@pytest.mark.parametrize("entry", [e for e in _INDEX_ENTRY_POINTS if e != "_parse_var"])
+def test_index_of_another_type_refused_at_every_entry_point(entry):
+    # True equals 1 and 2.0 equals 2, but they would be named "xTrue" and "x2.0",
+    # which no reader reads back: only a plain int is an index, warm memo or not
+    build = _INDEX_ENTRY_POINTS[entry]
+    build(1), build(2)
+    for v in (True, 2.0):
+        with pytest.raises(ValueError) as err:
+            build(v)
+        assert str(err.value) in (f"generator index must be an int, got {v!r}",
+                                  f"invalid variable id: {v!r}"), entry
 
 
 def _reference_substitute(self, images):
